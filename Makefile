@@ -60,13 +60,14 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The perf trajectory: trace-pipeline benchmarks (filter, cursor replay,
-# codec, warm vs cold harness load, one sim pass), plus the observability
-# alloc guards (span emission, the traced sweep loop), rendered as
+# codec, warm vs cold harness load, one sim pass), the per-scheme kernel
+# cells (BenchmarkCell/<scheme>/<app>), plus the observability alloc
+# guards (span emission, the traced sweep loop), rendered as
 # BENCH_trace.json. The raw benchmark lines ride along inside the JSON,
 # so benchstat can compare two snapshots:
 #   jq -r '.raw[]' BENCH_trace.json | benchstat /dev/stdin
 bench-json:
-	$(GO) test -run '^$$' -bench 'FilterPrivate|TraceCursor|TraceCodec|TraceMmap|HarnessTrace|SimRun|SweepBatched|SpanEmit|SweepSpan' \
+	$(GO) test -run '^$$' -bench 'FilterPrivate|TraceCursor|TraceCodec|TraceMmap|HarnessTrace|SimRun|SweepBatched|SpanEmit|SweepSpan|Cell' \
 		-benchmem -benchtime 200ms -count 1 ./internal/trace/ ./internal/sim/ ./internal/experiments/ ./internal/obs/ \
 		| $(GO) run ./cmd/whirltool benchjson > BENCH_trace.json
 	@echo "wrote BENCH_trace.json"

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -727,15 +728,16 @@ func TestDispatchShardSpansOnFailover(t *testing.T) {
 	root := tracer.Start(obs.SpanContext{}, "job")
 	rootSC := root.Context()
 	ctx := obs.NewContext(context.Background(), rootSC)
-	delivered := 0
+	// deliver runs on the shard goroutines, so the count is atomic.
+	var delivered atomic.Int64
 	if err := p.Exec(JobParams{Scale: 0.05})(ctx, cells, func(experiments.CellRef, experiments.SweepRow) {
-		delivered++
+		delivered.Add(1)
 	}); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	root.End()
-	if delivered != len(cells) {
-		t.Fatalf("delivered %d of %d cells", delivered, len(cells))
+	if n := delivered.Load(); n != int64(len(cells)) {
+		t.Fatalf("delivered %d of %d cells", n, len(cells))
 	}
 
 	spans := tracer.Collect(rootSC.Trace)

@@ -379,7 +379,7 @@ func (h *Harness) runMixPinned(apps []string, pins []int, kind schemes.Kind, chi
 	// the line offset.
 	type appCtx struct {
 		w       *workloads.Workload
-		cpPools map[mem.Callpoint]mem.PoolID
+		cpPools []mem.PoolID
 	}
 	ctxs := make([]appCtx, chip.NCores())
 	traces := make([]trace.Reader, chip.NCores())

@@ -278,3 +278,70 @@ func TestSweepStoreTraceSourcedContent(t *testing.T) {
 		t.Fatalf("re-recorded trace served stale rows: %+v", stats)
 	}
 }
+
+// TestSweepClosedTraceIsErrorRow: a mapped trace closed between two
+// cells of one sweep stops the second cell's replay early. The
+// simulator must refuse the short stream at the pass boundary, so the
+// cell becomes an error row naming the cause, and the store memoizes
+// only the healthy cell.
+func TestSweepClosedTraceIsErrorRow(t *testing.T) {
+	cache := t.TempDir()
+	warm := NewHarness(0.02)
+	warm.CacheDir = cache
+	if _, err := warm.AppErr("delaunay"); err != nil {
+		t.Fatal(err)
+	}
+	store, err := results.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	h := NewHarness(0.02)
+	h.CacheDir = cache
+	rows, err := h.Sweep(SweepConfig{
+		Apps:    []string{"delaunay"},
+		Kinds:   []schemes.Kind{schemes.KindSNUCALRU, schemes.KindJigsaw},
+		Workers: 1,
+		Store:   store,
+		OnRow: func(done, _ int, _ SweepRow) {
+			if done != 1 {
+				return
+			}
+			at, err := h.AppErr("delaunay")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mt, ok := at.Tr.(*trace.MappedTrace)
+			if !ok {
+				t.Errorf("warm trace is a %T, want *trace.MappedTrace", at.Tr)
+				return
+			}
+			if err := mt.Close(); err != nil {
+				t.Error(err)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if h.CacheStats().DiskHits != 1 {
+		t.Fatalf("trace not served from the warm cache: %+v", h.CacheStats())
+	}
+	if rows[0].Err != "" || rows[0].Instrs == 0 {
+		t.Fatalf("cell before the close failed: %+v", rows[0])
+	}
+	if !strings.Contains(rows[1].Err, trace.ErrClosed.Error()) {
+		t.Fatalf("cell after the close: Err = %.300q, want it to name %q", rows[1].Err, trace.ErrClosed)
+	}
+	if _, ok := store.Get(rows[0].Key); !ok {
+		t.Error("healthy row was not memoized")
+	}
+	if _, ok := store.Get(rows[1].Key); ok {
+		t.Error("error row was memoized")
+	}
+	if n := store.Len(); n != 1 {
+		t.Errorf("store holds %d rows, want 1", n)
+	}
+}

@@ -1,8 +1,6 @@
 package jigsaw
 
 import (
-	"sort"
-
 	"whirlpool/internal/energy"
 	"whirlpool/internal/llc"
 	"whirlpool/internal/noc"
@@ -34,9 +32,12 @@ type Config struct {
 // Dnuca is the shared-baseline D-NUCA engine behind both Jigsaw and
 // Whirlpool. It satisfies llc.LLC.
 type Dnuca struct {
-	cfg  Config
-	vcs  map[llc.VCKey]*VC
-	keys []llc.VCKey // stable iteration order
+	cfg Config
+	// vcs is the VC translation table: vcs[core+1][pool], row 0 holding
+	// the SharedVC VCs. Iterating it row by row visits VCs in (core,
+	// pool) order, the stable order every reconfiguration uses.
+	vcs  [][]*VC
+	nvcs int
 
 	lastReconfig uint64
 	// Stats.
@@ -62,19 +63,34 @@ func New(cfg Config) *Dnuca {
 	if cfg.SchemeName == "" {
 		cfg.SchemeName = "Jigsaw"
 	}
-	return &Dnuca{cfg: cfg, vcs: make(map[llc.VCKey]*VC)}
+	return &Dnuca{cfg: cfg}
 }
 
 // Name implements llc.LLC.
 func (d *Dnuca) Name() string { return d.cfg.SchemeName }
 
 func (d *Dnuca) vc(key llc.VCKey) *VC {
-	if v, ok := d.vcs[key]; ok {
-		return v
+	r, p := int(key.Core)+1, int(key.Pool)
+	if r < len(d.vcs) && p < len(d.vcs[r]) {
+		if v := d.vcs[r][p]; v != nil {
+			return v
+		}
+	}
+	return d.addVC(key)
+}
+
+// addVC creates key's VC, growing the table to reach its slot.
+func (d *Dnuca) addVC(key llc.VCKey) *VC {
+	r, p := int(key.Core)+1, int(key.Pool)
+	for len(d.vcs) <= r {
+		d.vcs = append(d.vcs, nil)
+	}
+	for len(d.vcs[r]) <= p {
+		d.vcs[r] = append(d.vcs[r], nil)
 	}
 	v := newVC(key, d.cfg.Chip, d.cfg.Gran)
-	d.vcs[key] = v
-	d.keys = append(d.keys, key)
+	d.vcs[r][p] = v
+	d.nvcs++
 	return v
 }
 
@@ -159,21 +175,12 @@ func (d *Dnuca) Tick(now uint64) {
 // movement for migrated lines).
 func (d *Dnuca) Reconfigure() {
 	d.Reconfigs++
-	if len(d.keys) == 0 {
+	vcs := d.VCs()
+	if len(vcs) == 0 {
 		return
 	}
 	chip := d.cfg.Chip
-	// Stable order: sort keys (map iteration is randomized).
-	sort.Slice(d.keys, func(i, j int) bool {
-		a, b := d.keys[i], d.keys[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		return a.Pool < b.Pool
-	})
-	vcs := make([]*VC, 0, len(d.keys))
-	for _, k := range d.keys {
-		v := d.vcs[k]
+	for _, v := range vcs {
 		v.lastAccesses = v.Mon.Accesses
 		// Refresh centroid weights from observed per-core accesses
 		// (EWMA to damp noise).
@@ -188,7 +195,6 @@ func (d *Dnuca) Reconfigure() {
 			}
 			v.recomputeDistances(chip)
 		}
-		vcs = append(vcs, v)
 	}
 
 	allocs := sizeVCs(chip, vcs, d.cfg.Gran, d.cfg.BypassEnabled, d.cfg.MissCurveSizing)
@@ -247,20 +253,17 @@ func (d *Dnuca) Reconfigure() {
 	}
 }
 
-// VCs returns the engine's virtual caches in stable order (for
-// introspection: placement maps, allocation time series).
+// VCs returns the engine's virtual caches in stable (core, pool) order,
+// SharedVC first (for introspection: placement maps, allocation time
+// series).
 func (d *Dnuca) VCs() []*VC {
-	out := make([]*VC, 0, len(d.keys))
-	keys := append([]llc.VCKey(nil), d.keys...)
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
+	out := make([]*VC, 0, d.nvcs)
+	for _, row := range d.vcs {
+		for _, v := range row {
+			if v != nil {
+				out = append(out, v)
+			}
 		}
-		return a.Pool < b.Pool
-	})
-	for _, k := range keys {
-		out = append(out, d.vcs[k])
 	}
 	return out
 }

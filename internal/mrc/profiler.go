@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"whirlpool/internal/addr"
+	"whirlpool/internal/linetab"
 	"whirlpool/internal/stats"
 )
 
@@ -20,14 +21,14 @@ type Profiler struct {
 	buckets     int
 	sampleShift uint
 
-	last  map[addr.Line]int32 // line -> time position in BIT
-	bit   []int32             // Fenwick tree: 1 at current last-access positions
-	time  int32               // next time position (1-based)
-	live  int32               // number of marked positions (= distinct lines)
-	histo []uint64            // histo[i]: distances in [i*gran, (i+1)*gran), post-scaling
-	over  uint64              // distances beyond the curve domain
-	cold  uint64              // first-touch accesses
-	acc   uint64              // total accesses observed (pre-sampling)
+	last  linetab.Table[int32] // line -> time position in BIT
+	bit   []int32              // Fenwick tree: 1 at current last-access positions
+	time  int32                // next time position (1-based)
+	live  int32                // number of marked positions (= distinct lines)
+	histo []uint64             // histo[i]: distances in [i*gran, (i+1)*gran), post-scaling
+	over  uint64               // distances beyond the curve domain
+	cold  uint64               // first-touch accesses
+	acc   uint64               // total accesses observed (pre-sampling)
 }
 
 // NewProfiler creates a profiler producing curves with the given bucket
@@ -41,7 +42,6 @@ func NewProfiler(gran uint64, buckets int, sampleShift uint) *Profiler {
 		gran:        gran,
 		buckets:     buckets,
 		sampleShift: sampleShift,
-		last:        make(map[addr.Line]int32),
 		histo:       make([]uint64, buckets),
 	}
 	p.grow(1 << 16)
@@ -73,14 +73,13 @@ func (p *Profiler) bitSum(i int32) int32 {
 // time counter. Called when the BIT fills up.
 func (p *Profiler) compact() {
 	type ent struct {
-		line addr.Line
+		line uint64
 		t    int32
 	}
-	ents := make([]ent, 0, len(p.last))
-	//whirl:unordered entries are sorted by last-access time, unique per line, before renumbering
-	for l, t := range p.last {
-		ents = append(ents, ent{l, t})
-	}
+	ents := make([]ent, 0, p.last.Len())
+	p.last.Range(func(l uint64, t *int32) {
+		ents = append(ents, ent{l, *t})
+	})
 	sort.Slice(ents, func(i, j int) bool { return ents[i].t < ents[j].t })
 	n := len(p.bit) - 1
 	if int(p.live)*2 > n {
@@ -90,7 +89,7 @@ func (p *Profiler) compact() {
 	p.time = 0
 	for _, e := range ents {
 		p.time++
-		p.last[e.line] = p.time
+		p.last.Put(e.line, p.time)
 		p.bitAdd(p.time, 1)
 	}
 }
@@ -110,8 +109,11 @@ func (p *Profiler) Access(l addr.Line) {
 		return
 	}
 	scale := uint64(1) << p.sampleShift
-	if t, ok := p.last[l]; ok {
+	// tp stays valid across compact, which only rewrites existing keys.
+	tp := p.last.Ptr(uint64(l))
+	if tp != nil {
 		// Distance = number of distinct lines accessed strictly after t.
+		t := *tp
 		d := uint64(p.live-p.bitSum(t)) * scale
 		b := d / p.gran
 		if b >= uint64(p.buckets) {
@@ -129,7 +131,10 @@ func (p *Profiler) Access(l addr.Line) {
 		p.compact()
 		p.time++
 	}
-	p.last[l] = p.time
+	if tp == nil {
+		tp, _ = p.last.Insert(uint64(l))
+	}
+	*tp = p.time
 	p.bitAdd(p.time, 1)
 	p.live++
 }
@@ -163,7 +168,7 @@ func (p *Profiler) Reset() {
 // HardReset clears everything including recency state.
 func (p *Profiler) HardReset() {
 	p.Reset()
-	p.last = make(map[addr.Line]int32)
+	p.last.Reset()
 	p.grow(1 << 16)
 	p.time, p.live = 0, 0
 }

@@ -6,6 +6,7 @@ import (
 	"whirlpool/internal/addr"
 	"whirlpool/internal/cache"
 	"whirlpool/internal/energy"
+	"whirlpool/internal/linetab"
 	"whirlpool/internal/llc"
 	"whirlpool/internal/noc"
 	"whirlpool/internal/stats"
@@ -28,9 +29,8 @@ type Awasthi struct {
 	meter *energy.Meter
 	banks []*cache.SetAssoc
 
-	pageBank  map[addr.Page]int32
-	pageHot   map[addr.Page]*pageStat
-	bankPages []int // assigned pages per bank (occupancy tracking)
+	pages     linetab.Table[pageEntry] // keyed by addr.Page
+	bankPages []int                    // assigned pages per bank (occupancy tracking)
 	epoch     uint64
 	last      uint64
 
@@ -44,7 +44,12 @@ type Awasthi struct {
 	WritebacksMem uint64
 }
 
-type pageStat struct {
+// pageEntry is one touched page: its home bank plus the heat the
+// migration runtime ranks it by (demand accesses since the last decay,
+// and the core that made the latest one). A count-0 entry is a page with
+// no recent heat; its next demand access overwrites core.
+type pageEntry struct {
+	bank  int32
 	count uint32
 	core  uint8
 }
@@ -59,8 +64,6 @@ func NewAwasthi(chip *noc.Chip, meter *energy.Meter, epochCycles uint64) *Awasth
 	a := &Awasthi{
 		chip:      chip,
 		meter:     meter,
-		pageBank:  make(map[addr.Page]int32),
-		pageHot:   make(map[addr.Page]*pageStat),
 		bankPages: make([]int, chip.NBanks()),
 		epoch:     epochCycles,
 		alphaA:    1.0,
@@ -80,17 +83,19 @@ func (a *Awasthi) SetAlphas(alphaA, alphaB float64) {
 // Name implements llc.LLC.
 func (a *Awasthi) Name() string { return "Awasthi" }
 
-func (a *Awasthi) bankOf(core int, l addr.Line) int {
+// page returns l's page entry, homing the page on first touch in one of
+// the initialBanks banks closest to core, hashed by page. The pointer is
+// valid until the next page insert.
+func (a *Awasthi) page(core int, l addr.Line) *pageEntry {
 	pg := addr.PageOfLine(l)
-	if b, ok := a.pageBank[pg]; ok {
-		return int(b)
+	e, ok := a.pages.Insert(uint64(pg))
+	if !ok {
+		near := a.chip.Mesh.BanksByDistance(core)
+		b := near[stats.Hash64(uint64(pg))%initialBanks]
+		e.bank = int32(b)
+		a.bankPages[b]++
 	}
-	// First touch: one of the initialBanks closest banks, hashed by page.
-	near := a.chip.Mesh.BanksByDistance(core)
-	b := near[stats.Hash64(uint64(pg))%initialBanks]
-	a.pageBank[pg] = int32(b)
-	a.bankPages[b]++
-	return b
+	return e
 }
 
 // occupancy returns bank b's assigned-page load relative to its capacity.
@@ -115,7 +120,8 @@ func (a *Awasthi) score(core, bank int) float64 {
 // Access implements llc.LLC.
 func (a *Awasthi) Access(core int, acc trace.LLCAccess) (uint64, llc.Outcome) {
 	m := a.chip.Mesh
-	bank := a.bankOf(core, acc.Line)
+	pe := a.page(core, acc.Line)
+	bank := int(pe.bank)
 	arr := a.banks[bank]
 	if acc.Writeback {
 		a.meter.AddHops(m.CoreBankHops(core, bank))
@@ -130,14 +136,8 @@ func (a *Awasthi) Access(core int, acc trace.LLCAccess) (uint64, llc.Outcome) {
 		return 0, llc.Miss
 	}
 	// Track page heat for the migration runtime.
-	pg := addr.PageOfLine(acc.Line)
-	st := a.pageHot[pg]
-	if st == nil {
-		st = &pageStat{}
-		a.pageHot[pg] = st
-	}
-	st.count++
-	st.core = uint8(core)
+	pe.count++
+	pe.core = uint8(core)
 
 	hops := m.CoreBankHops(core, bank)
 	lat := 2*noc.HopLatency(hops) + noc.BankLatency
@@ -172,19 +172,19 @@ func (a *Awasthi) Tick(now uint64) {
 // migrate moves the hottest pages toward their accessing core.
 func (a *Awasthi) migrate() {
 	type hot struct {
-		pg addr.Page
-		st *pageStat
+		pg    addr.Page
+		count uint32
+		core  uint8
 	}
 	var hots []hot
-	//whirl:unordered candidates are totally ordered by (count desc, page asc) before migration
-	for pg, st := range a.pageHot {
-		if st.count >= 16 {
-			hots = append(hots, hot{pg, st})
+	a.pages.Range(func(pg uint64, e *pageEntry) {
+		if e.count >= 16 {
+			hots = append(hots, hot{addr.Page(pg), e.count, e.core})
 		}
-	}
+	})
 	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].st.count != hots[j].st.count {
-			return hots[i].st.count > hots[j].st.count
+		if hots[i].count != hots[j].count {
+			return hots[i].count > hots[j].count
 		}
 		return hots[i].pg < hots[j].pg
 	})
@@ -201,8 +201,8 @@ func (a *Awasthi) migrate() {
 		if migrated >= maxMigrations {
 			break
 		}
-		core := int(h.st.core)
-		cur := int(a.pageBank[h.pg])
+		core := int(h.core)
+		cur := int(a.pages.Ptr(uint64(h.pg)).bank)
 		curScore := a.score(core, cur)
 		// Find the bank with the best distance/pressure score.
 		best, bestScore := cur, curScore
@@ -218,7 +218,7 @@ func (a *Awasthi) migrate() {
 			continue
 		}
 		// Benefit: accesses x saved score; cost: copying the page.
-		benefit := float64(h.st.count) * (curScore - bestScore)
+		benefit := float64(h.count) * (curScore - bestScore)
 		cost := a.alphaA * float64(addr.LinesPerPage) *
 			float64(2*noc.HopLatency(m.Hops2(cur, best)))
 		if benefit <= cost {
@@ -229,20 +229,14 @@ func (a *Awasthi) migrate() {
 		migrated++
 	}
 	// Decay heat so stale pages do not dominate future epochs.
-	//whirl:unordered per-entry halving and deletion; no entry observes another
-	for pg, st := range a.pageHot {
-		st.count /= 2
-		if st.count == 0 {
-			delete(a.pageHot, pg)
-		}
-	}
+	a.pages.Range(func(_ uint64, e *pageEntry) { e.count /= 2 })
 }
 
 // movePage re-homes a page: resident lines are copied to the new bank
 // (charged as reads+writes+hops) and invalidated in the old one.
 func (a *Awasthi) movePage(pg addr.Page, from, to int) {
 	a.Migrations++
-	a.pageBank[pg] = int32(to)
+	a.pages.Ptr(uint64(pg)).bank = int32(to)
 	a.bankPages[from]--
 	a.bankPages[to]++
 	first := addr.FirstLine(pg)

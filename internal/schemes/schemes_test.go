@@ -144,11 +144,14 @@ func TestAwasthiFirstTouchNearCore(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		a.Access(0, demand(addr.Line(i)))
 	}
-	for pg, b := range a.pageBank {
-		if !nearSet[int(b)] {
-			t.Fatalf("page %d first-touched to far bank %d", pg, b)
-		}
+	if a.pages.Len() == 0 {
+		t.Fatal("no pages touched")
 	}
+	a.pages.Range(func(pg uint64, e *pageEntry) {
+		if !nearSet[int(e.bank)] {
+			t.Fatalf("page %d first-touched to far bank %d", pg, e.bank)
+		}
+	})
 }
 
 func TestAwasthiMigratesHotPages(t *testing.T) {

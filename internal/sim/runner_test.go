@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -144,4 +145,79 @@ func TestRunnersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+var errStopped = errors.New("stream stopped")
+
+// stoppingReader replays tr but, on pass failPass, stops after stop
+// accesses and reports errStopped through Err: the shape of a mapped
+// trace closed or corrupted under replay.
+type stoppingReader struct {
+	*trace.LLCTrace
+	failPass, stop int
+}
+
+func (s *stoppingReader) NewCursor() trace.Cursor {
+	return &stoppingCursor{Cursor: s.LLCTrace.NewCursor(), r: s}
+}
+
+type stoppingCursor struct {
+	trace.Cursor
+	r       *stoppingReader
+	pass, i int
+	err     error
+}
+
+func (c *stoppingCursor) Next() (trace.LLCAccess, bool) {
+	if c.pass == c.r.failPass && c.i >= c.r.stop {
+		c.err = errStopped
+		return trace.LLCAccess{}, false
+	}
+	c.i++
+	return c.Cursor.Next()
+}
+
+func (c *stoppingCursor) Reset() {
+	c.Cursor.Reset()
+	c.pass++
+	c.i = 0
+}
+
+func (c *stoppingCursor) Err() error { return c.err }
+
+// TestRunnerRejectsShortStream: a cursor that stops early, in the
+// warm-up pass or the measured one, directly or behind trace.Offset (the
+// mix path), fails the run at the pass boundary with the cursor's error
+// instead of returning a result built from a short stream.
+func TestRunnerRejectsShortStream(t *testing.T) {
+	tr := mkMixedTrace(300, 10, 2)
+	cases := []struct {
+		name     string
+		warmup   bool
+		failPass int
+		offset   bool
+	}{
+		{"measured", false, 0, false},
+		{"warmup", true, 0, false},
+		{"measured-after-warmup", true, 1, false},
+		{"offset", true, 1, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var rd trace.Reader = &stoppingReader{LLCTrace: tr, failPass: tc.failPass, stop: 100}
+			if tc.offset {
+				rd = trace.Offset(rd, 1<<40)
+			}
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, errStopped) {
+					t.Fatalf("run did not fail with the cursor's error: %v", err)
+				}
+			}()
+			NewRunner().Run(Config{
+				LLC: &fakeLLC{hitLat: 10, missLat: 100}, Meter: &energy.Meter{},
+				Traces: []trace.Reader{nil, rd}, Warmup: tc.warmup,
+			})
+		})
+	}
 }

@@ -10,6 +10,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"whirlpool/internal/addr"
 	"whirlpool/internal/energy"
 	"whirlpool/internal/llc"
@@ -108,9 +110,11 @@ func (r *Result) MPKI() float64 {
 // coreState tracks replay progress for one core: a cursor over its
 // trace plus position/cycle counters.
 type coreState struct {
-	cur trace.Cursor
-	n   int           // accesses per pass
-	sum trace.Summary // the trace's private-level stats
+	cur  trace.Cursor
+	errc errCursor     // cur's error channel, nil when it has none
+	core int           // the core this state replays for
+	n    int           // accesses per pass
+	sum  trace.Summary // the trace's private-level stats
 
 	pos       int
 	cycles    uint64
@@ -121,12 +125,24 @@ type coreState struct {
 	res       CoreResult
 }
 
+// errCursor is the error channel of cursors whose stream can stop early
+// (a mapped trace closed or corrupted under replay).
+type errCursor interface{ Err() error }
+
 // next returns the core's next access, rewinding the cursor at the end
 // of each full pass. done reports that this access completes a pass.
+// A cursor that stopped early has replayed a short pass, so next panics
+// at the pass boundary rather than let a plausible but wrong row out;
+// the sweep's per-cell recover turns the panic into an error row.
 func (cs *coreState) next() (a trace.LLCAccess, done bool) {
 	a, _ = cs.cur.Next()
 	cs.pos++
 	if cs.pos >= cs.n {
+		if cs.errc != nil {
+			if err := cs.errc.Err(); err != nil {
+				panic(fmt.Errorf("sim: core %d trace replay failed: %w", cs.core, err))
+			}
+		}
 		cs.cur.Reset()
 		cs.pos = 0
 		return a, true
@@ -240,7 +256,8 @@ func (r *Runner) Run(cfg Config) *Result {
 			cur = t.NewCursor()
 			lastTr[i] = t
 		}
-		*cs = coreState{cur: cur, n: t.NumAccesses(), sum: t.Stats()}
+		errc, _ := cur.(errCursor)
+		*cs = coreState{cur: cur, errc: errc, core: i, n: t.NumAccesses(), sum: t.Stats()}
 		pick = append(pick, i)
 	}
 	r.pick = pick[:0]
@@ -256,7 +273,7 @@ func (r *Runner) Run(cfg Config) *Result {
 			c := &cores[i]
 			warmCycles := c.cycles
 			*c = coreState{
-				cur: c.cur, n: c.n, sum: c.sum,
+				cur: c.cur, errc: c.errc, core: c.core, n: c.n, sum: c.sum,
 				cycles: warmCycles, warmStart: warmCycles,
 			}
 		}

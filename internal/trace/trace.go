@@ -302,6 +302,15 @@ func (c *offsetCursor) Next() (LLCAccess, bool) {
 
 func (c *offsetCursor) Reset() { c.c.Reset() }
 
+// Err forwards the wrapped cursor's error channel (nil when it has none),
+// so an offset mapped trace still reports a replay that stopped early.
+func (c *offsetCursor) Err() error {
+	if ec, ok := c.c.(interface{ Err() error }); ok {
+		return ec.Err()
+	}
+	return nil
+}
+
 // BaseCPI is the core's cycles-per-instruction when never stalled on the
 // LLC (a Nehalem-like OOO sustains ~2 IPC on compute; docs/design.md
 // documents the in-order stall substitution).

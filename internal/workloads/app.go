@@ -339,20 +339,22 @@ func (g *gen) Next() (trace.Access, bool) {
 }
 
 // CallpointPools maps each structure's callpoint to a pool id according to
-// grouping (a list of structure-index groups). Group i maps to pool i+1;
-// ungrouped structures map to the default pool. This is how a
-// classification (manual or WhirlTool) is applied to a trace.
-func (w *Workload) CallpointPools(grouping [][]int) map[mem.Callpoint]mem.PoolID {
-	m := make(map[mem.Callpoint]mem.PoolID)
+// grouping (a list of structure-index groups), as a slice indexed by
+// callpoint: callpoints are 1..len(Structs), so it has len(Structs)+1
+// entries. Group i maps to pool i+1; ungrouped structures (and
+// NoCallpoint) map to the default pool. This is how a classification
+// (manual or WhirlTool) is applied to a trace.
+func (w *Workload) CallpointPools(grouping [][]int) []mem.PoolID {
+	pools := make([]mem.PoolID, len(w.Structs)+1)
 	for gi, group := range grouping {
 		for _, si := range group {
 			if si < 0 || si >= len(w.Structs) {
 				panic(fmt.Sprintf("workloads: bad struct index %d in grouping", si))
 			}
-			m[w.Structs[si].CP] = mem.PoolID(gi + 1)
+			pools[w.Structs[si].CP] = mem.PoolID(gi + 1)
 		}
 	}
-	return m
+	return pools
 }
 
 // ManualGrouping returns the paper's manual pool classification (Table 2),
