@@ -16,8 +16,8 @@ import (
 // spansCmd renders a span-JSONL trace (the GET /v1/jobs/{id}/trace
 // payload, or a tracer sink file) as a text waterfall: the tree by
 // parent links, each span with its offset from the trace start, a
-// scaled duration bar, and per-name aggregates plus the critical path
-// at the bottom.
+// scaled duration bar, and per-name aggregates, the sweep.cell
+// utilization and the critical path at the bottom.
 func spansCmd(args []string) {
 	fs := flag.NewFlagSet("spans", flag.ExitOnError)
 	width := fs.Int("width", 40, "waterfall bar width in characters")
@@ -113,8 +113,9 @@ func buildTree(spans []obs.Span) []*spanNode {
 	return roots
 }
 
-// renderSpans writes the waterfall, the per-name aggregate table, and
-// the critical path.
+// renderSpans writes the waterfall, the per-name aggregate table, the
+// sweep.cell utilization line (when the trace has cells), and the
+// critical path.
 func renderSpans(w io.Writer, spans []obs.Span, width int) error {
 	if width < 10 {
 		width = 10
@@ -195,6 +196,11 @@ func renderSpans(w io.Writer, spans []obs.Span, width int) error {
 			clip(a.name, 24), a.n, fmtDur(a.total), fmtDur(a.total/time.Duration(a.n)), fmtDur(a.max))
 	}
 
+	if u, ok := cellUtilization(spans); ok {
+		fmt.Fprintf(w, "\nsweep.cell utilization: concurrency %d, window %s, busy %s, idle %.3f\n",
+			u.concurrency, fmtDur(u.window), fmtDur(u.busy), u.idle)
+	}
+
 	// Critical path: from each root, repeatedly descend into the child
 	// that finishes last — the chain that bounded the trace's wall time.
 	var best []*spanNode
@@ -226,6 +232,64 @@ func renderSpans(w io.Writer, spans []obs.Span, width int) error {
 		fmt.Fprintf(w, "\ncritical path: %s\n", strings.Join(parts, " → "))
 	}
 	return nil
+}
+
+// utilization summarizes how well a sweep kept its workers busy.
+type utilization struct {
+	concurrency int           // most sweep.cell spans open at once
+	window      time.Duration // first cell start to last cell end
+	busy        time.Duration // sum of cell durations
+	idle        float64       // 1 - busy / (concurrency × window)
+}
+
+// cellUtilization measures the sweep.cell spans: the worker count is
+// taken as their peak overlap, and idle is the share of those workers'
+// time inside the cell window that no cell covered — the formula
+// perfbench reports as experiments.idle_frac. A scheduler tail (one
+// long batch finishing alone) shows up as high idle. ok is false when
+// the trace has no sweep.cell spans.
+func cellUtilization(spans []obs.Span) (u utilization, ok bool) {
+	type edge struct {
+		at    time.Time
+		delta int
+	}
+	var edges []edge
+	var first, last time.Time
+	for _, sp := range spans {
+		if sp.Name != "sweep.cell" {
+			continue
+		}
+		end := sp.Start.Add(sp.Dur)
+		if first.IsZero() || sp.Start.Before(first) {
+			first = sp.Start
+		}
+		if end.After(last) {
+			last = end
+		}
+		u.busy += sp.Dur
+		edges = append(edges, edge{sp.Start, +1}, edge{end, -1})
+	}
+	if len(edges) == 0 {
+		return u, false
+	}
+	// A cell ending exactly when another starts does not overlap it, so
+	// at equal times ends sort first.
+	sort.Slice(edges, func(i, j int) bool {
+		if !edges[i].at.Equal(edges[j].at) {
+			return edges[i].at.Before(edges[j].at)
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	open := 0
+	for _, e := range edges {
+		open += e.delta
+		u.concurrency = max(u.concurrency, open)
+	}
+	u.window = last.Sub(first)
+	if u.window > 0 {
+		u.idle = 1 - u.busy.Seconds()/(float64(u.concurrency)*u.window.Seconds())
+	}
+	return u, true
 }
 
 // renderAttrs formats a span's attributes as " k=v ..." (empty when the

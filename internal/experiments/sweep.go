@@ -434,8 +434,9 @@ func (h *Harness) Sweep(cfg SweepConfig) ([]SweepRow, error) {
 	// Stage 1: build every trace an unserved cell needs, concurrently,
 	// each exactly once. Skipped entirely on the remote path: the
 	// simulating workers build their own.
+	var accesses map[string]int
 	if cfg.Remote == nil {
-		h.prefetchTraces(ctx, jobs, served, workers, cfg.Tracer, spanParent)
+		accesses = h.prefetchTraces(ctx, jobs, served, workers, cfg.Tracer, spanParent)
 	}
 
 	// Stage 2: resolve every cell. Served rows stream through the
@@ -450,7 +451,7 @@ func (h *Harness) Sweep(cfg SweepConfig) ([]SweepRow, error) {
 	if cfg.Remote != nil {
 		execErr = h.runRemote(ctx, &cfg, jobs, rows, keys, served, prog)
 	} else {
-		h.runLocal(ctx, &cfg, jobs, rows, keys, served, prog, workers, spanParent)
+		h.runLocal(ctx, &cfg, jobs, rows, keys, served, accesses, prog, workers, spanParent)
 	}
 
 	if cfg.Stats != nil {
@@ -481,8 +482,11 @@ func (h *Harness) Sweep(cfg SweepConfig) ([]SweepRow, error) {
 // prefetchTraces builds each unserved cell's app traces concurrently,
 // each exactly once (stage 1). Each build emits a trace.load span whose
 // mmap attr records whether the trace came up as a zero-copy mapped
-// .wtrc or a heap-decoded stream.
-func (h *Harness) prefetchTraces(ctx context.Context, jobs []sweepJob, served []bool, workers int, tr *obs.Tracer, parent obs.SpanContext) {
+// .wtrc or a heap-decoded stream. It returns each app's access count
+// — the sizes the scheduler's cost estimate needs, read off the traces
+// this stage resolved — with 0 for an app that failed to build or was
+// skipped because ctx was canceled.
+func (h *Harness) prefetchTraces(ctx context.Context, jobs []sweepJob, served []bool, workers int, tr *obs.Tracer, parent obs.SpanContext) map[string]int {
 	needed := map[string]bool{}
 	for i, j := range jobs {
 		if served[i] {
@@ -502,20 +506,22 @@ func (h *Harness) prefetchTraces(ctx context.Context, jobs []sweepJob, served []
 		names = append(names, a)
 	}
 	sort.Strings(names)
-	prefetch := make(chan string, len(names))
-	for _, a := range names {
-		prefetch <- a
+	prefetch := make(chan int, len(names))
+	for i := range names {
+		prefetch <- i
 	}
 	close(prefetch)
+	sizes := make([]int, len(names))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for a := range prefetch {
+			for i := range prefetch {
 				if ctx.Err() != nil {
 					continue // drain without building
 				}
+				a := names[i]
 				sp := tr.Start(parent, "trace.load")
 				at, err := h.AppErr(a)
 				sp.SetStr("app", a)
@@ -524,30 +530,38 @@ func (h *Harness) prefetchTraces(ctx context.Context, jobs []sweepJob, served []
 				} else if at != nil && at.Tr != nil {
 					m, ok := at.Tr.(interface{ Mapped() bool })
 					sp.SetBool("mmap", ok && m.Mapped())
+					sizes[i] = at.Tr.NumAccesses()
 				}
 				sp.End()
 			}
 		}()
 	}
 	wg.Wait()
+	accesses := make(map[string]int, len(names))
+	for i, a := range names {
+		accesses[a] = sizes[i]
+	}
+	return accesses
 }
 
 // runLocal simulates the unserved cells on the local worker pool
 // (stage 2). Every resolved cell — computed, failed, or canceled —
 // flows through the progress path.
 //
-// Cells are handed out in same-app batches: all unserved cells of one
-// app (or mix) are grouped so one worker runs every scheme of that app
-// back to back, feeding the same decoded (or mapped) trace reader into
-// each scheme instance through its per-worker sim.Runner — the replay
-// cursors rewind instead of re-decoding, and the per-run arenas are
-// reused across the whole batch. Rows stay bit-identical: grouping only
-// changes which goroutine runs a cell, never its inputs, and every cell
-// still commits to the store and emits progress individually. Large
-// groups are chunked so a sweep dominated by one app still spreads
-// across the pool.
-func (h *Harness) runLocal(ctx context.Context, cfg *SweepConfig, jobs []sweepJob, rows []SweepRow, keys []string, served []bool, prog *sweepProgress, workers int, spanParent obs.SpanContext) {
-	batches := batchByApp(jobs, served, workers)
+// Cells are handed out in same-app batches (batchByApp): one worker
+// runs every scheme of an app (or mix) back to back, feeding the same
+// decoded (or mapped) trace reader into each scheme instance through
+// its per-worker sim.Runner — the replay cursors rewind instead of
+// re-decoding, and the per-run arenas are reused across the whole
+// batch. Batches are queued most expensive first, so the longest one
+// (usually a mix) starts while the pool is still busy with the rest
+// instead of running alone at the tail. Rows stay bit-identical:
+// batching only changes which goroutine runs a cell, never its inputs,
+// and every cell still commits to the store and emits progress
+// individually.
+func (h *Harness) runLocal(ctx context.Context, cfg *SweepConfig, jobs []sweepJob, rows []SweepRow, keys []string, served []bool, accesses map[string]int, prog *sweepProgress, workers int, spanParent obs.SpanContext) {
+	costs := cellCosts(jobs, accesses)
+	batches := batchByApp(jobs, served, costs, workers)
 	work := make(chan []int, len(batches))
 	for _, b := range batches {
 		work <- b
@@ -577,6 +591,7 @@ func (h *Harness) runLocal(ctx context.Context, cfg *SweepConfig, jobs []sweepJo
 					} else {
 						sp.SetInt("cells", 1)
 					}
+					sp.SetInt("accesses", costs[i])
 					row := h.runSweepJob(jobs[i], cfg.NoBypass, runner)
 					sp.End()
 					row.Key = keys[i]
@@ -598,16 +613,41 @@ func (h *Harness) runLocal(ctx context.Context, cfg *SweepConfig, jobs []sweepJo
 	wg.Wait()
 }
 
+// cellCosts estimates each cell's work as the accesses it replays,
+// which does not depend on the scheme: an app cell replays its trace,
+// and a mix cell replays len(apps) × its longest trace, because under
+// the fixed-work method every core loops until the slowest finishes a
+// pass. An app whose trace failed to build has size 0.
+func cellCosts(jobs []sweepJob, accesses map[string]int) []int64 {
+	costs := make([]int64, len(jobs))
+	for i, j := range jobs {
+		if j.mix == nil {
+			costs[i] = int64(accesses[j.app])
+			continue
+		}
+		longest := 0
+		for _, a := range j.mix.Apps {
+			longest = max(longest, accesses[a])
+		}
+		costs[i] = int64(len(j.mix.Apps)) * int64(longest)
+	}
+	return costs
+}
+
 // batchByApp groups the unserved cell indices by app/mix name (grid
-// order preserved within each group, groups in first-appearance order),
-// then chunks groups so no batch exceeds ceil(unserved/workers) cells —
-// the cap that keeps a one-app sweep parallel while still letting the
-// common grid shape (every scheme × one app) ride a single worker's
-// warm trace.
-func batchByApp(jobs []sweepJob, served []bool, workers int) [][]int {
+// order within each group), splits each group into consecutive chunks
+// that cost at most ceil(total/workers) — a lone cell over the cap
+// forms its own chunk — and orders the chunks by descending cost,
+// ties in grid first-appearance order. This is Graham's longest-
+// processing-time-first (LPT) list scheduling: the cap keeps a grid
+// dominated by one app or mix spread across the pool, and the order
+// keeps the costliest batch from starting last while the rest of the
+// pool runs dry. The common grid shape (every scheme × a few apps)
+// still rides one worker's warm trace per app.
+func batchByApp(jobs []sweepJob, served []bool, costs []int64, workers int) [][]int {
 	groups := map[string][]int{}
 	var order []string
-	unserved := 0
+	var total int64
 	for i := range jobs {
 		if served[i] {
 			continue
@@ -617,25 +657,35 @@ func batchByApp(jobs []sweepJob, served []bool, workers int) [][]int {
 			order = append(order, name)
 		}
 		groups[name] = append(groups[name], i)
-		unserved++
+		total += costs[i]
 	}
-	if unserved == 0 {
+	if len(order) == 0 {
 		return nil
 	}
-	maxBatch := (unserved + workers - 1) / workers
-	if maxBatch < 1 {
-		maxBatch = 1
+	limit := max(1, (total+int64(workers)-1)/int64(workers))
+	type batch struct {
+		cells []int
+		cost  int64
 	}
-	var batches [][]int
+	var batches []batch
 	for _, name := range order {
 		g := groups[name]
-		for len(g) > maxBatch {
-			batches = append(batches, g[:maxBatch])
-			g = g[maxBatch:]
+		for len(g) > 0 {
+			b := batch{cells: g[:1], cost: costs[g[0]]}
+			for n := 1; n < len(g) && b.cost+costs[g[n]] <= limit; n++ {
+				b.cells = g[:n+1]
+				b.cost += costs[g[n]]
+			}
+			batches = append(batches, b)
+			g = g[len(b.cells):]
 		}
-		batches = append(batches, g)
 	}
-	return batches
+	sort.SliceStable(batches, func(a, b int) bool { return batches[a].cost > batches[b].cost })
+	out := make([][]int, len(batches))
+	for i, b := range batches {
+		out[i] = b.cells
+	}
+	return out
 }
 
 // runRemote hands the unserved cells to cfg.Remote (stage 2 on a

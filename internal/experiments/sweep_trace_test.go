@@ -115,6 +115,49 @@ func TestSweepEmitsStageSpans(t *testing.T) {
 	}
 }
 
+// TestSweepSimRunAccessesAttr: every sim.run span carries the cell's
+// cost estimate, so a waterfall pairs wall time with predicted work —
+// the app trace's access count, or len(apps) × the longest trace for a
+// mix.
+func TestSweepSimRunAccessesAttr(t *testing.T) {
+	tr := obs.New(256)
+	root := tr.Start(obs.SpanContext{}, "job")
+	h := NewHarness(0.02)
+	_, err := h.Sweep(SweepConfig{
+		Apps:    []string{"delaunay", "MIS"},
+		Mixes:   []SweepMix{{Name: "pair", Apps: []string{"delaunay", "MIS"}}},
+		Kinds:   []schemes.Kind{schemes.KindSNUCALRU},
+		Workers: 2,
+		Context: obs.NewContext(context.Background(), root.Context()),
+		Tracer:  tr,
+	})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	root.End()
+	d, m := int64(h.App("delaunay").Tr.NumAccesses()), int64(h.App("MIS").Tr.NumAccesses())
+	want := map[string]int64{"delaunay": d, "MIS": m, "pair": 2 * max(d, m)}
+	runs := 0
+	for _, s := range tr.Collect(root.Trace) {
+		if s.Name != "sim.run" {
+			continue
+		}
+		runs++
+		app, _ := s.Attr("app")
+		name, _ := app.IsStr()
+		a, ok := s.Attr("accesses")
+		if !ok {
+			t.Fatalf("sim.run %s has no accesses attr", name)
+		}
+		if got, _ := a.IsInt(); got != want[name] || got <= 0 {
+			t.Errorf("sim.run %s accesses = %d, want %d", name, got, want[name])
+		}
+	}
+	if runs != 3 {
+		t.Fatalf("got %d sim.run spans, want 3", runs)
+	}
+}
+
 // TestSweepWithoutTracerIsNoop pins the nil-tracer contract: a sweep
 // with no Tracer runs identically and emits nothing.
 func TestSweepWithoutTracerIsNoop(t *testing.T) {
@@ -150,6 +193,7 @@ func TestSweepCellSpanAllocBudget(t *testing.T) {
 		sp.SetStr("app", "delaunay")
 		sp.SetStr("scheme", "jigsaw")
 		sp.SetInt("cells", 1)
+		sp.SetInt("accesses", 123456)
 		sp.End()
 		sp = tr.Start(cell.Context(), "store.commit")
 		sp.End()
@@ -178,6 +222,7 @@ func BenchmarkSweepSpanEmit(b *testing.B) {
 		sp.SetStr("app", "delaunay")
 		sp.SetStr("scheme", "jigsaw")
 		sp.SetInt("cells", 1)
+		sp.SetInt("accesses", 123456)
 		sp.End()
 		sp = tr.Start(cell.Context(), "store.commit")
 		sp.End()

@@ -96,13 +96,13 @@ func appendJSONString(dst []byte, s string) []byte {
 // spanJSON is the decode-side shape; decoding uses encoding/json (the
 // stitch and tooling paths are cold).
 type spanJSON struct {
-	Trace   string         `json:"trace"`
-	Span    string         `json:"span"`
-	Parent  string         `json:"parent"`
-	Name    string         `json:"name"`
-	StartUS int64          `json:"start_us"`
-	DurUS   int64          `json:"dur_us"`
-	Attrs   map[string]any `json:"attrs"`
+	Trace   string          `json:"trace"`
+	Span    string          `json:"span"`
+	Parent  string          `json:"parent"`
+	Name    string          `json:"name"`
+	StartUS int64           `json:"start_us"`
+	DurUS   int64           `json:"dur_us"`
+	Attrs   json.RawMessage `json:"attrs"`
 }
 
 func hexDecode(dst, src []byte) bool {
@@ -140,7 +140,36 @@ func ParseSpan(line []byte) (Span, error) {
 	s.Name = raw.Name
 	s.Start = time.UnixMicro(raw.StartUS)
 	s.Dur = time.Duration(raw.DurUS) * time.Microsecond
-	for k, v := range raw.Attrs {
+	if err := parseAttrs(&s, raw.Attrs); err != nil {
+		return Span{}, fmt.Errorf("bad attrs: %w", err)
+	}
+	return s, nil
+}
+
+// parseAttrs sets the attrs object's entries on s in wire order, so a
+// parsed span lists its attributes in the order the emitter set them
+// (and renders the same way every time). Values of other JSON types
+// are skipped.
+func parseAttrs(s *Span, b json.RawMessage) error {
+	if len(b) == 0 || string(b) == "null" {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if tok, err := dec.Token(); err != nil {
+		return err
+	} else if tok != json.Delim('{') {
+		return fmt.Errorf("not an object")
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		k, _ := tok.(string)
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			return err
+		}
 		switch v := v.(type) {
 		case string:
 			s.Set(Str(k, v))
@@ -150,7 +179,8 @@ func ParseSpan(line []byte) (Span, error) {
 			s.Set(Int(k, int64(v)))
 		}
 	}
-	return s, nil
+	_, err := dec.Token()
+	return err
 }
 
 // ParseSpans decodes a JSONL stream of spans, skipping blank lines.

@@ -212,6 +212,27 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseSpanKeepsAttrOrder: attributes come back in the order the
+// emitter set them, so renderings of a parsed trace are stable.
+func TestParseSpanKeepsAttrOrder(t *testing.T) {
+	line := `{"trace":"0af7651916cd43dd8448eb211c80319c","span":"00f067aa0ba902b7","name":"sim.run","start_us":1,"dur_us":2,` +
+		`"attrs":{"scheme":"jigsaw","app":"mix","cells":2,"accesses":400000,"nested":{"x":1},"mmap":true}}`
+	s, err := ParseSpan([]byte(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, a := range s.Attrs() {
+		keys = append(keys, a.Key)
+	}
+	if got, want := strings.Join(keys, ","), "scheme,app,cells,accesses,mmap"; got != want {
+		t.Fatalf("attr order = %s, want %s", got, want)
+	}
+	if _, err := ParseSpan([]byte(`{"trace":"0af7651916cd43dd8448eb211c80319c","span":"00f067aa0ba902b7","attrs":[1]}`)); err == nil {
+		t.Fatal("non-object attrs accepted")
+	}
+}
+
 func TestParseSpansRejectsGarbage(t *testing.T) {
 	if _, err := ParseSpans(strings.NewReader("{\"trace\":\"zz\"}\n")); err == nil {
 		t.Fatal("bad trace id accepted")

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -86,6 +88,55 @@ func TestTraceEndpointTree(t *testing.T) {
 	// The status document advertises the trace ID the endpoint serves.
 	if st["trace_id"] != trace.String() {
 		t.Errorf("status trace_id = %v, want %s", st["trace_id"], trace)
+	}
+}
+
+// awaitDoneEvent follows a job's SSE stream until its done event.
+func awaitDoneEvent(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		if sc.Text() == "event: done" {
+			return
+		}
+	}
+	t.Fatalf("job %s: stream ended without a done event (%v)", id, sc.Err())
+}
+
+// TestTraceCompleteAtDoneEvent: the job span is recorded before the
+// SSE done event goes out, so a client that fetches the trace the
+// moment it sees done — once, with no retry — always gets one tree
+// rooted in the submit request, with the job span in it. Each job is a
+// distinct seed, so every one simulates rather than being served.
+func TestTraceCompleteAtDoneEvent(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	for i := 1; i <= 20; i++ {
+		body := fmt.Sprintf(`{"apps":["delaunay"],"schemes":["snuca-lru"],"scale":0.005,"seed":%d}`, i)
+		id, _ := postSweep(t, ts, body)["id"].(string)
+		awaitDoneEvent(t, ts, id)
+		spans := fetchTrace(t, ts, id)
+		ids := map[obs.SpanID]bool{}
+		for _, sp := range spans {
+			ids[sp.ID] = true
+		}
+		roots, jobs := 0, 0
+		for _, sp := range spans {
+			if !ids[sp.Parent] {
+				roots++
+			}
+			if sp.Name == "job" {
+				jobs++
+			}
+		}
+		if roots != 1 || jobs != 1 {
+			t.Fatalf("job %s: trace at done has %d roots and %d job spans, want 1 and 1 (%d spans)", id, roots, jobs, len(spans))
+		}
 	}
 }
 

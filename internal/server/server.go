@@ -334,12 +334,15 @@ func (s *Server) runJob(j *job) {
 	ctx = obs.NewContext(ctx, jobSpan.Context())
 	s.log.Info("job started", "job", j.id, "cells", j.total, "trace", jobSpan.Trace.String())
 
-	// fail finishes the job (and its span) on pre-sweep errors.
+	// fail finishes the job (and its span) on pre-sweep errors. Here and
+	// below the span ends before j.finish: finishing wakes SSE streams,
+	// and a client that fetches the trace on the done event must find
+	// the job span already recorded.
 	fail := func(msg string) {
 		s.metrics.jobsFailed.Add(1)
-		j.finish(nil, experiments.SweepStats{}, "failed", msg)
 		jobSpan.SetStr("state", "failed")
 		jobSpan.End()
+		j.finish(nil, experiments.SweepStats{}, "failed", msg)
 		s.log.Warn("job failed", "job", j.id, "err", msg)
 	}
 
@@ -424,28 +427,25 @@ func (s *Server) runJob(j *job) {
 	}
 	s.metrics.rowsServed.Add(int64(stats.Served))
 	s.metrics.rowsComputed.Add(int64(stats.Computed))
-	final := "done"
+	final, msg := "done", ""
 	switch {
 	case ctx.Err() != nil:
 		s.metrics.jobsCanceled.Add(1)
-		final = "canceled"
-		j.finish(rows, stats, final, ctx.Err().Error())
+		final, msg = "canceled", ctx.Err().Error()
 	case err != nil:
 		s.metrics.jobsFailed.Add(1)
-		final = "failed"
-		j.finish(rows, stats, final, err.Error())
+		final, msg = "failed", err.Error()
 	default:
 		s.metrics.jobsDone.Add(1)
-		msg := ""
 		if stats.Errors > 0 {
 			msg = fmt.Sprintf("%d of %d cells failed", stats.Errors, len(rows))
 		}
-		j.finish(rows, stats, final, msg)
 	}
 	jobSpan.SetInt("served", int64(stats.Served))
 	jobSpan.SetInt("computed", int64(stats.Computed))
 	jobSpan.SetStr("state", final)
 	jobSpan.End()
+	j.finish(rows, stats, final, msg)
 	s.log.Info("job finished", "job", j.id, "state", final,
 		"served", stats.Served, "computed", stats.Computed, "errors", stats.Errors)
 }
