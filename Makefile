@@ -9,7 +9,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X whirlpool/internal/cliutil.buildVersion=$(VERSION)"
 
-.PHONY: build examples test race vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke ci
+.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -32,6 +32,14 @@ test:
 # and the tracer's concurrent span recording.
 race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/experiments/... ./internal/sim/ ./internal/trace/ ./internal/results/ ./internal/server/ ./internal/dispatch/ ./internal/fleet/ ./internal/traffic/ ./internal/obs/
+
+# Fuzz the one .wtrc parser behind OpenMapped, ReadFile and ReadFrom
+# (internal/trace FuzzParseWTRC) for a fixed short budget. Minimizing
+# each new interesting input is capped so it cannot eat that budget. A
+# crasher lands in internal/trace/testdata/fuzz/ and replays under
+# plain go test from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWTRC$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 
 vet:
 	$(GO) vet ./...
@@ -177,4 +185,4 @@ load-smoke:
 obs-smoke:
 	GO="$(GO)" sh scripts/obs-smoke.sh
 
-ci: build examples vet lint fmt-check test race bench smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke
+ci: build examples vet lint fmt-check test race fuzz bench smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke

@@ -6,55 +6,42 @@ import (
 	"testing"
 )
 
+// TestResolveWorkersIntegerDeprecated: the integer -workers N form (the
+// old name for -parallel) is gone, so a number is just not a worker URL.
 func TestResolveWorkersIntegerDeprecated(t *testing.T) {
-	var warn strings.Builder
-	parallel := 4
-	urls, err := resolveWorkers("12", false, &parallel, &warn)
-	if err != nil || urls != nil {
-		t.Fatalf("resolveWorkers(12) = %v, %v", urls, err)
+	urls, err := resolveWorkers("12")
+	if err == nil || !strings.Contains(err.Error(), "not a worker URL") {
+		t.Fatalf("resolveWorkers(12) = %v, %v; want a not-a-worker-URL error", urls, err)
 	}
-	if parallel != 12 {
-		t.Fatalf("parallel = %d, want 12", parallel)
-	}
-	w := warn.String()
-	if !strings.Contains(w, "deprecated") || !strings.Contains(w, "-parallel") {
-		t.Fatalf("deprecation warning = %q, want a pointer at -parallel", w)
-	}
-	if strings.Count(w, "\n") != 1 {
-		t.Fatalf("warning is not one line: %q", w)
+	if urls != nil {
+		t.Fatalf("rejected flag still yielded urls %v", urls)
 	}
 }
 
+// TestResolveWorkersIntegerConflictsWithParallel: `-workers 8 -parallel 4`
+// used to fail as a flag conflict; -parallel no longer enters into it, and
+// the integer fails on its own, naming the value it refused.
 func TestResolveWorkersIntegerConflictsWithParallel(t *testing.T) {
-	var warn strings.Builder
-	parallel := 4
-	if _, err := resolveWorkers("12", true, &parallel, &warn); err == nil ||
-		!strings.Contains(err.Error(), "conflicts") {
-		t.Fatalf("err = %v, want conflict", err)
-	}
-	if warn.Len() != 0 {
-		t.Fatalf("conflict case warned anyway: %q", warn.String())
+	_, err := resolveWorkers("8")
+	if err == nil || !strings.Contains(err.Error(), "not a worker URL") ||
+		!strings.Contains(err.Error(), "8") {
+		t.Fatalf("resolveWorkers(8) err = %v, want a not-a-worker-URL error naming 8", err)
 	}
 }
 
 func TestResolveWorkersURLs(t *testing.T) {
-	var warn strings.Builder
-	parallel := 4
-	urls, err := resolveWorkers("http://a:1, http://b:2", false, &parallel, &warn)
+	urls, err := resolveWorkers("http://a:1, http://b:2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(urls) != 2 || urls[0] != "http://a:1" {
 		t.Fatalf("urls = %v", urls)
 	}
-	if warn.Len() != 0 {
-		t.Fatalf("URL mode warned: %q", warn.String())
-	}
-	if _, err := resolveWorkers("not-a-url", false, &parallel, &warn); err == nil ||
+	if _, err := resolveWorkers("not-a-url"); err == nil ||
 		!strings.Contains(err.Error(), "not-a-url") {
 		t.Fatalf("bad URL accepted: %v", err)
 	}
-	if urls, err := resolveWorkers("", false, &parallel, &warn); urls != nil || err != nil {
+	if urls, err := resolveWorkers(""); urls != nil || err != nil {
 		t.Fatalf("empty flag: %v, %v", urls, err)
 	}
 }

@@ -105,11 +105,6 @@ func decodeError(resp *http.Response, body []byte) *Error {
 			e.Message = eb.Message
 			return e
 		}
-		var legacy string
-		if json.Unmarshal(env.Error, &legacy) == nil && legacy != "" {
-			e.Message = legacy
-			return e
-		}
 	}
 	msg := strings.TrimSpace(string(body))
 	if len(msg) > 512 {

@@ -35,9 +35,9 @@ func TestNewRejectsBadBases(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelope: the envelope decodes into code+message, legacy
-// flat-string bodies still yield the message, and garbage bodies fall
-// back to raw text — never a decode failure.
+// TestErrorEnvelope: the envelope decodes into code+message, and
+// non-envelope bodies (a proxy's plain text) fall back to raw text —
+// never a decode failure.
 func TestErrorEnvelope(t *testing.T) {
 	cases := []struct {
 		name, body  string
@@ -64,11 +64,6 @@ func TestErrorEnvelope(t *testing.T) {
 			body:     `{"error":{"code":"overloaded","message":"results concurrency limit"}}`,
 			wantCode: "overloaded", wantMessage: "results concurrency limit",
 			wantRetry: time.Second, temporary: true,
-		},
-		{
-			name: "legacy flat string", status: 404,
-			body:        `{"error":"no such job \"j9\""}`,
-			wantMessage: `no such job "j9"`,
 		},
 		{
 			name: "plain text body", status: 500,

@@ -85,12 +85,13 @@ type appEntry struct {
 	err  error
 }
 
-// AppTrace is a built app plus its LLC-level trace. Tr is a TraceReader
-// rather than a concrete trace: generated apps hold an eager in-memory
-// LLCTrace, while traces resolved from .wtrc files (recorded apps, disk
-// cache hits) stay memory-mapped and decode lazily per cursor — the
-// zero-copy path. Mappings live as long as the harness caches the entry
-// (process lifetime), so they are never explicitly closed.
+// AppTrace is a built app plus its LLC-level trace. Every Tr is a
+// *trace.LLCTrace: generated apps hold one built on the heap, while
+// traces resolved from .wtrc files (recorded apps, disk cache hits) come
+// from trace.OpenMapped, so their columns stay in the mapping and decode
+// lazily per cursor — the zero-copy path. Mappings live as long as the
+// harness caches the entry (process lifetime), so the harness never
+// closes them; a caller done with a harness may, through io.Closer.
 type AppTrace struct {
 	W  *workloads.Workload
 	Tr trace.TraceReader

@@ -313,9 +313,9 @@ func TestSweepClosedTraceIsErrorRow(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			mt, ok := at.Tr.(*trace.MappedTrace)
+			mt, ok := at.Tr.(*trace.LLCTrace)
 			if !ok {
-				t.Errorf("warm trace is a %T, want *trace.MappedTrace", at.Tr)
+				t.Errorf("warm trace is a %T, want *trace.LLCTrace", at.Tr)
 				return
 			}
 			if err := mt.Close(); err != nil {

@@ -528,8 +528,7 @@ func (h *Harness) prefetchTraces(ctx context.Context, jobs []sweepJob, served []
 				if err != nil {
 					sp.SetStr("error", err.Error())
 				} else if at != nil && at.Tr != nil {
-					m, ok := at.Tr.(interface{ Mapped() bool })
-					sp.SetBool("mmap", ok && m.Mapped())
+					sp.SetBool("mmap", at.Tr.Mapped())
 					sizes[i] = at.Tr.NumAccesses()
 				}
 				sp.End()

@@ -111,7 +111,6 @@ func (r *Result) MPKI() float64 {
 // trace plus position/cycle counters.
 type coreState struct {
 	cur  trace.Cursor
-	errc errCursor     // cur's error channel, nil when it has none
 	core int           // the core this state replays for
 	n    int           // accesses per pass
 	sum  trace.Summary // the trace's private-level stats
@@ -125,10 +124,6 @@ type coreState struct {
 	res       CoreResult
 }
 
-// errCursor is the error channel of cursors whose stream can stop early
-// (a mapped trace closed or corrupted under replay).
-type errCursor interface{ Err() error }
-
 // next returns the core's next access, rewinding the cursor at the end
 // of each full pass. done reports that this access completes a pass.
 // A cursor that stopped early has replayed a short pass, so next panics
@@ -138,10 +133,8 @@ func (cs *coreState) next() (a trace.LLCAccess, done bool) {
 	a, _ = cs.cur.Next()
 	cs.pos++
 	if cs.pos >= cs.n {
-		if cs.errc != nil {
-			if err := cs.errc.Err(); err != nil {
-				panic(fmt.Errorf("sim: core %d trace replay failed: %w", cs.core, err))
-			}
+		if err := cs.cur.Err(); err != nil {
+			panic(fmt.Errorf("sim: core %d trace replay failed: %w", cs.core, err))
 		}
 		cs.cur.Reset()
 		cs.pos = 0
@@ -256,8 +249,7 @@ func (r *Runner) Run(cfg Config) *Result {
 			cur = t.NewCursor()
 			lastTr[i] = t
 		}
-		errc, _ := cur.(errCursor)
-		*cs = coreState{cur: cur, errc: errc, core: i, n: t.NumAccesses(), sum: t.Stats()}
+		*cs = coreState{cur: cur, core: i, n: t.NumAccesses(), sum: t.Stats()}
 		pick = append(pick, i)
 	}
 	r.pick = pick[:0]
@@ -273,7 +265,7 @@ func (r *Runner) Run(cfg Config) *Result {
 			c := &cores[i]
 			warmCycles := c.cycles
 			*c = coreState{
-				cur: c.cur, errc: c.errc, core: c.core, n: c.n, sum: c.sum,
+				cur: c.cur, core: c.core, n: c.n, sum: c.sum,
 				cycles: warmCycles, warmStart: warmCycles,
 			}
 		}

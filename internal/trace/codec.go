@@ -1,7 +1,8 @@
 // The .wtrc binary codec: a versioned record/replay format for filtered
 // LLC traces. The on-disk layout is the in-memory columnar layout plus a
-// fixed header and a CRC, so encode/decode is a straight copy of the
-// column buffers; see docs/trace-format.md for the byte-level reference.
+// fixed header and a CRC, so encoding writes the column buffers as they
+// are and decoding subslices them out of the file image; see
+// docs/trace-format.md for the byte-level reference.
 package trace
 
 import (
@@ -11,8 +12,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"whirlpool/internal/addr"
 )
 
 // Magic identifies a .wtrc file.
@@ -45,18 +44,41 @@ type header struct {
 	LenGaps     uint64
 }
 
-// WriteTo encodes the trace in .wtrc format. It implements io.WriterTo.
-func (t *LLCTrace) WriteTo(w io.Writer) (int64, error) {
-	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(w, crc)}
+// headerBytes is the fixed-size region after magic+version.
+const headerBytes = 9 * 8
 
-	if _, err := cw.Write([]byte(Magic)); err != nil {
-		return cw.n, err
+// fields lists the header's words in wire order.
+func (h *header) fields() [9]*uint64 {
+	return [9]*uint64{&h.N, &h.Demand, &h.Instrs, &h.RawAccesses, &h.L1Hits,
+		&h.L2Hits, &h.BaseCycles, &h.LenDeltas, &h.LenGaps}
+}
+
+// decodeHeader decodes the fixed header region (headerBytes long).
+func decodeHeader(hb []byte) header {
+	var h header
+	for i, f := range h.fields() {
+		*f = binary.LittleEndian.Uint64(hb[8*i:])
 	}
-	var ver [4]byte
-	binary.LittleEndian.PutUint16(ver[0:], FormatVersion)
-	if _, err := cw.Write(ver[:]); err != nil {
-		return cw.n, err
+	return h
+}
+
+// sane bounds the sizes a reader will believe before indexing anything.
+func (h header) sane() error {
+	if h.N > maxSaneAccesses || h.Demand > h.N ||
+		h.LenDeltas > maxSaneBytes || h.LenGaps > maxSaneBytes ||
+		h.LenDeltas > 10*h.N || h.LenGaps > 10*h.N || (h.N > 0 && h.LenDeltas == 0) {
+		return fmt.Errorf("trace: corrupt .wtrc header (n=%d demand=%d deltas=%d gaps=%d)",
+			h.N, h.Demand, h.LenDeltas, h.LenGaps)
+	}
+	return nil
+}
+
+// WriteTo encodes the trace in .wtrc format: the magic, version and
+// header, then the column buffers exactly as held, then a CRC over all
+// of it. It implements io.WriterTo.
+func (t *LLCTrace) WriteTo(w io.Writer) (int64, error) {
+	if t.closed.Load() {
+		return 0, ErrClosed
 	}
 	h := header{
 		N:           uint64(t.n),
@@ -69,59 +91,107 @@ func (t *LLCTrace) WriteTo(w io.Writer) (int64, error) {
 		LenDeltas:   uint64(len(t.deltas)),
 		LenGaps:     uint64(len(t.gaps)),
 	}
-	if err := binary.Write(cw, binary.LittleEndian, &h); err != nil {
-		return cw.n, err
+	head := make([]byte, 0, 8+headerBytes)
+	head = append(head, Magic...)
+	head = binary.LittleEndian.AppendUint32(head, FormatVersion)
+	for _, f := range h.fields() {
+		head = binary.LittleEndian.AppendUint64(head, *f)
 	}
-	if _, err := cw.Write(t.deltas); err != nil {
-		return cw.n, err
-	}
-	if _, err := cw.Write(t.gaps); err != nil {
-		return cw.n, err
-	}
-	for _, words := range [][]uint64{t.write, t.wback} {
-		if err := binary.Write(cw, binary.LittleEndian, words); err != nil {
-			return cw.n, err
+	crc := crc32.NewIEEE()
+	var n int64
+	for _, b := range [][]byte{head, t.deltas, t.gaps, t.write, t.wback} {
+		crc.Write(b)
+		k, err := w.Write(b)
+		n += int64(k)
+		if err != nil {
+			return n, err
 		}
 	}
-	// The CRC trailer covers everything above, magic included. It is
-	// written to w only (not to the running CRC).
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	n, err := w.Write(sum[:])
-	return cw.n + int64(n), err
+	// The CRC trailer covers everything above, magic included.
+	k, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return n + int64(k), err
 }
 
-// ReadFrom decodes a .wtrc stream into t, replacing its contents. It
-// implements io.ReaderFrom. Truncated, corrupt, or wrong-version input
-// returns a descriptive error; it never panics and never half-populates
-// t (contents are replaced only on success).
+// ReadFrom reads one .wtrc image from r and decodes it into t,
+// replacing its contents. It implements io.ReaderFrom. Truncated,
+// corrupt, or wrong-version input returns a descriptive error; it never
+// panics and never half-populates t (contents are replaced only on
+// success).
 func (t *LLCTrace) ReadFrom(r io.Reader) (int64, error) {
-	crc := crc32.NewIEEE()
-	cr := &countReader{r: io.TeeReader(r, crc)}
+	data, err := readImage(r)
+	if err != nil {
+		return int64(len(data)), fmt.Errorf("trace: %w", err)
+	}
+	nt, err := parseWTRC(data)
+	if err == nil {
+		err = nt.validate()
+	}
+	if err != nil {
+		return int64(len(data)), err
+	}
+	t.Summary, t.n, t.demand, t.lastLine = nt.Summary, nt.n, nt.demand, nt.lastLine
+	t.deltas, t.gaps, t.write, t.wback = nt.deltas, nt.gaps, nt.write, nt.wback
+	return int64(len(data)), nil
+}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: not a .wtrc trace: %w", readErr(err))
+// maxPrealloc bounds the buffer readImage sizes from a header alone.
+const maxPrealloc = 1 << 24
+
+// readImage reads the fixed prefix, then the rest of the image its
+// header declares (nothing more when the header is unbelievable: the
+// parse rejects it from the prefix alone). An image up to maxPrealloc
+// is read into one buffer of the declared size; a larger one grows as
+// its bytes arrive, so a corrupt header cannot force a huge allocation.
+// Running out of input early is not an error here: the parse reports
+// the truncation.
+func readImage(r io.Reader) ([]byte, error) {
+	data := make([]byte, 8+headerBytes)
+	n, err := io.ReadFull(r, data)
+	if err == nil {
+		if h := decodeHeader(data[8:]); h.sane() == nil {
+			size := uint64(n) + h.LenDeltas + h.LenGaps + 16*((h.N+63)/64) + 4
+			if size > maxPrealloc {
+				rest, err := io.ReadAll(io.LimitReader(r, int64(size)-int64(n)))
+				return append(data, rest...), err
+			}
+			data = append(data, make([]byte, int(size)-n)...)
+			var k int
+			k, err = io.ReadFull(r, data[n:])
+			n += k
+		}
 	}
-	if string(magic[:]) != Magic {
-		return cr.n, fmt.Errorf("trace: not a .wtrc trace (bad magic %q)", magic[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
 	}
-	var ver [4]byte
-	if _, err := io.ReadFull(cr, ver[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated header: %w", readErr(err))
+	return data[:n], err
+}
+
+// parseWTRC checks a complete .wtrc byte image — magic, version, header
+// plausibility, column completeness, CRC — and returns a trace whose
+// columns are subslices of data. Every entry point (OpenMapped, ReadFile,
+// ReadFrom) parses through it, so they all report the same failure for
+// the same broken file. It never panics and never copies a column.
+func parseWTRC(data []byte) (*LLCTrace, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("trace: not a .wtrc trace: %w", errShort(len(data)))
 	}
-	if v := binary.LittleEndian.Uint16(ver[0:]); v != FormatVersion {
-		return cr.n, fmt.Errorf("trace: unsupported .wtrc version %d (this build reads version %d)", v, FormatVersion)
+	if string(data[:4]) != Magic {
+		return nil, fmt.Errorf("trace: not a .wtrc trace (bad magic %q)", data[:4])
 	}
-	var hb [headerBytes]byte
-	if _, err := io.ReadFull(cr, hb[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated header: %w", readErr(err))
+	if len(data) < 8 {
+		return nil, fmt.Errorf("trace: truncated header: %w", errShort(len(data)))
 	}
-	h := decodeHeader(hb[:])
+	if v := binary.LittleEndian.Uint16(data[4:]); v != FormatVersion {
+		return nil, fmt.Errorf("trace: unsupported .wtrc version %d (this build reads version %d)", v, FormatVersion)
+	}
+	if len(data) < 8+headerBytes {
+		return nil, fmt.Errorf("trace: truncated header: %w", errShort(len(data)))
+	}
+	h := decodeHeader(data[8:])
 	if err := h.sane(); err != nil {
-		return cr.n, err
+		return nil, err
 	}
-	nt := &LLCTrace{
+	t := &LLCTrace{
 		Summary: Summary{
 			Instrs:      h.Instrs,
 			RawAccesses: h.RawAccesses,
@@ -131,99 +201,82 @@ func (t *LLCTrace) ReadFrom(r io.Reader) (int64, error) {
 		},
 		n:      int(h.N),
 		demand: h.Demand,
-		deltas: make([]byte, h.LenDeltas),
-		gaps:   make([]byte, h.LenGaps),
 	}
-	if _, err := io.ReadFull(cr, nt.deltas); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated delta column: %w", readErr(err))
-	}
-	if _, err := io.ReadFull(cr, nt.gaps); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated gap column: %w", readErr(err))
-	}
-	// The bitsets stream through one reusable byte buffer and decode in
-	// place (binary.Read would allocate an equal-sized shadow buffer per
-	// column via reflection — the decode path's old double-buffering).
+	// Column completeness: report the first column the bytes run out in.
+	// Columns are cut with full slice expressions, so an append to one
+	// reallocates instead of writing into its neighbour (or into a
+	// read-only mapping).
+	pos := uint64(8 + headerBytes)
 	words := (h.N + 63) / 64
-	raw := make([]byte, 8*words)
-	for _, dst := range []*[]uint64{&nt.write, &nt.wback} {
-		if _, err := io.ReadFull(cr, raw); err != nil {
-			return cr.n, fmt.Errorf("trace: truncated flag bitsets: %w", readErr(err))
+	for _, col := range []struct {
+		dst  *[]byte
+		size uint64
+		what string
+	}{
+		{&t.deltas, h.LenDeltas, "delta column"},
+		{&t.gaps, h.LenGaps, "gap column"},
+		{&t.write, 8 * words, "flag bitsets"},
+		{&t.wback, 8 * words, "flag bitsets"},
+	} {
+		if uint64(len(data))-pos < col.size {
+			return nil, fmt.Errorf("trace: truncated %s: %w", col.what, errShort(len(data)))
 		}
-		*dst = decodeBitset(raw)
+		*col.dst = data[pos : pos+col.size : pos+col.size]
+		pos += col.size
 	}
-	want := crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(cr, sum[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated checksum: %w", readErr(err))
+	if uint64(len(data))-pos < 4 {
+		return nil, fmt.Errorf("trace: truncated checksum: %w", errShort(len(data)))
 	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return cr.n, fmt.Errorf("trace: .wtrc checksum mismatch (file %08x, computed %08x): corrupt trace", got, want)
+	want := crc32.ChecksumIEEE(data[:pos])
+	if got := binary.LittleEndian.Uint32(data[pos:]); got != want {
+		return nil, fmt.Errorf("trace: .wtrc checksum mismatch (file %08x, computed %08x): corrupt trace", got, want)
 	}
-	if err := nt.validate(); err != nil {
-		return cr.n, err
-	}
-	*t = *nt
-	return cr.n, nil
+	return t, nil
 }
 
-// validate walks the decoded columns once, checking that the varint
-// streams contain exactly n well-formed records and leaving the encoder
-// state (lastLine) consistent so the trace could even be appended to.
-func (nt *LLCTrace) validate() error {
-	dpos, gpos := 0, 0
-	var line addr.Line
+// errShort is the truncation cause for a byte image that ended early.
+func errShort(n int) error {
+	return fmt.Errorf("file is %d bytes: unexpected EOF", n)
+}
+
+// validate replays the parsed columns once with a cursor, checking that
+// the varint streams hold exactly n well-formed records, and leaves the
+// encoder state (lastLine) consistent so the trace could even be
+// appended to.
+func (t *LLCTrace) validate() error {
+	c := cursor{t: t}
 	var demand uint64
-	for i := 0; i < nt.n; i++ {
-		u, k := binary.Uvarint(nt.deltas[dpos:])
-		if k <= 0 {
-			return fmt.Errorf("trace: corrupt .wtrc delta column at access %d", i)
+	for {
+		a, ok := c.Next()
+		if !ok {
+			break
 		}
-		dpos += k
-		line += addr.Line(unzigzag(u))
-		w := uint(i)
-		if nt.wback[w/64]&(1<<(w%64)) == 0 {
-			g, k := binary.Uvarint(nt.gaps[gpos:])
-			if k <= 0 || g > 1<<32-1 {
-				return fmt.Errorf("trace: corrupt .wtrc gap column at access %d", i)
-			}
-			gpos += k
+		if !a.Writeback {
 			demand++
 		}
 	}
-	if dpos != len(nt.deltas) || gpos != len(nt.gaps) || demand != nt.demand {
+	if c.err != nil {
+		return c.err
+	}
+	if c.dpos != len(t.deltas) || c.gpos != len(t.gaps) || demand != t.demand {
 		return fmt.Errorf("trace: corrupt .wtrc payload (column sizes disagree with header)")
 	}
-	nt.lastLine = line
+	t.lastLine = c.line
 	return nil
-}
-
-// readErr maps io.EOF to the clearer unexpected-EOF for mid-stream
-// truncation.
-func readErr(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // WriteFile atomically writes the trace to path in .wtrc format: the
 // bytes land in a temp file in the same directory and are renamed into
 // place, so concurrent readers (parallel sweep workers sharing a trace
-// cache) never observe a partial file. Any TraceReader can be written —
-// non-eager readers (a MappedTrace, an Offset wrapper) are materialized
-// first.
-func WriteFile(path string, r TraceReader) error {
-	t, err := materializeErr(r)
-	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", path, err)
-	}
+// cache) never observe a partial file.
+func WriteFile(path string, tr TraceReader) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".wtrc-tmp-*")
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	tmp := f.Name()
-	if _, err := t.WriteTo(f); err != nil {
+	if _, err := tr.WriteTo(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("trace: writing %s: %w", path, err)
@@ -239,48 +292,20 @@ func WriteFile(path string, r TraceReader) error {
 	return nil
 }
 
-// ReadFile eagerly decodes a .wtrc file. The file is mapped (or read
-// whole on platforms without mmap) and parsed straight out of that one
-// image — no intermediate stream buffers — then the mapping is released:
-// the result is an ordinary heap-resident LLCTrace. Use OpenMapped to
-// keep the columns in the mapping instead of copying them out.
+// ReadFile reads a .wtrc file onto the heap, parses it and walks every
+// record: the result never touches the file again. Use OpenMapped to
+// serve the columns straight out of the page cache instead.
 func ReadFile(path string) (*LLCTrace, error) {
-	data, unmap, err := readFileBytes(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if unmap != nil {
-		defer unmap()
+	t, err := parseWTRC(data)
+	if err == nil {
+		err = t.validate()
 	}
-	lay, err := parseWTRC(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	t, err := decodeLayout(lay)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -2,10 +2,13 @@ package trace_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/trace"
@@ -80,19 +83,12 @@ func TestCodecRoundTripEmpty(t *testing.T) {
 	sameTrace(t, "empty", tr, got)
 }
 
-// encodeOne builds a small deterministic trace for robustness tests.
+// encodeOne encodes the small deterministic trace the robustness tests
+// (and the fuzz seeds) cut and corrupt.
 func encodeOne(t *testing.T) []byte {
 	t.Helper()
-	tr := &trace.LLCTrace{}
-	for i := 0; i < 1000; i++ {
-		tr.Append(trace.LLCAccess{Line: addr.Line(i * 17), Gap: uint32(i % 100), Write: i%3 == 0})
-		if i%7 == 0 {
-			tr.Append(trace.LLCAccess{Line: addr.Line(i), Writeback: true})
-		}
-	}
-	tr.Instrs = 50000
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	if _, err := trace.SampleTrace().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -179,4 +175,28 @@ func mustSpec(t *testing.T, name string) workloads.AppSpec {
 		t.Fatalf("unknown app %s", name)
 	}
 	return s
+}
+
+// TestCodecRoundTripLarge decodes an image larger than the size
+// ReadFrom preallocates from a header alone, so its buffer grows as the
+// bytes arrive instead.
+func TestCodecRoundTripLarge(t *testing.T) {
+	tr := &trace.LLCTrace{}
+	for i := 0; i < 2_000_000; i++ {
+		tr.Append(trace.LLCAccess{Line: addr.Line(i) << 40, Gap: 1 << 30, Write: i%5 == 0})
+	}
+	if tr.EncodedBytes() <= 1<<24 {
+		t.Fatalf("trace is only %d bytes; the test needs more than 16 MiB", tr.EncodedBytes())
+	}
+	sameTrace(t, "large", tr, roundTrip(t, tr))
+}
+
+// TestCodecReadError passes a reader's own failure through, wrapped.
+func TestCodecReadError(t *testing.T) {
+	data := encodeOne(t)
+	boom := errors.New("disk on fire")
+	r := io.MultiReader(bytes.NewReader(data[:200]), iotest.ErrReader(boom))
+	if _, err := (&trace.LLCTrace{}).ReadFrom(r); !errors.Is(err, boom) {
+		t.Fatalf("ReadFrom error = %v, want %v", err, boom)
+	}
 }

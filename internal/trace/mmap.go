@@ -1,4 +1,4 @@
-// Memory-mapped .wtrc reading: MappedTrace serves a trace straight out
+// Memory-mapped .wtrc reading: OpenMapped serves a trace straight out
 // of the page cache. The file is validated once at open (magic, version,
 // header plausibility, column completeness, CRC), but the columns are
 // never copied or pre-walked — cursors decode varints lazily out of the
@@ -11,19 +11,15 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync/atomic"
-
-	"whirlpool/internal/addr"
 )
 
-// ErrClosed is returned (via Cursor.Err / wrapped in open errors) when a
-// MappedTrace is used after Close released its mapping.
-var ErrClosed = errors.New("trace: mapped trace is closed")
+// ErrClosed is returned (via Cursor.Err, and by WriteTo) when a trace is
+// used after Close released it.
+var ErrClosed = errors.New("trace: trace is closed")
 
 // errMmapUnavailable signals mapFile cannot serve this request; the
 // caller falls back to plain reads.
@@ -32,318 +28,51 @@ var errMmapUnavailable = errors.New("trace: mmap unavailable")
 // mmapDisabled force-disables mmap (tests exercise the fallback path).
 var mmapDisabled atomic.Bool
 
-// wtrcLayout is a parsed view over one .wtrc byte image: the header plus
-// zero-copy subslices of each column. Produced by parseWTRC, consumed by
-// both the mapped (lazy) and eager decode paths.
-type wtrcLayout struct {
-	h      header
-	deltas []byte
-	gaps   []byte
-	write  []byte // raw little-endian bitset bytes, 8*ceil(n/64)
-	wback  []byte
-}
-
-// headerBytes is the fixed-size region after magic+version.
-const headerBytes = 9 * 8
-
-// parseWTRC validates a complete .wtrc byte image and returns its
-// layout. Validation order and error wording mirror LLCTrace.ReadFrom
-// exactly (magic, version, header plausibility, column completeness,
-// CRC), so mapped and streamed reads of the same broken file report the
-// same failure. It never allocates and never panics.
-func parseWTRC(data []byte) (wtrcLayout, error) {
-	var lay wtrcLayout
-	if len(data) < 4 {
-		return lay, fmt.Errorf("trace: not a .wtrc trace: %w", errShort(len(data)))
-	}
-	if string(data[:4]) != Magic {
-		return lay, fmt.Errorf("trace: not a .wtrc trace (bad magic %q)", data[:4])
-	}
-	if len(data) < 8 {
-		return lay, fmt.Errorf("trace: truncated header: %w", errShort(len(data)))
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != FormatVersion {
-		return lay, fmt.Errorf("trace: unsupported .wtrc version %d (this build reads version %d)", v, FormatVersion)
-	}
-	if len(data) < 8+headerBytes {
-		return lay, fmt.Errorf("trace: truncated header: %w", errShort(len(data)))
-	}
-	h := decodeHeader(data[8:])
-	if err := h.sane(); err != nil {
-		return lay, err
-	}
-	// Column completeness: report the first column the bytes run out in,
-	// like the streaming reader's per-column ReadFull errors.
-	pos := uint64(8 + headerBytes)
-	words := (h.N + 63) / 64
-	take := func(n uint64, what string) ([]byte, error) {
-		if uint64(len(data))-pos < n {
-			return nil, fmt.Errorf("trace: truncated %s: %w", what, errShort(len(data)))
-		}
-		col := data[pos : pos+n]
-		pos += n
-		return col, nil
-	}
-	var err error
-	if lay.deltas, err = take(h.LenDeltas, "delta column"); err != nil {
-		return lay, err
-	}
-	if lay.gaps, err = take(h.LenGaps, "gap column"); err != nil {
-		return lay, err
-	}
-	if lay.write, err = take(8*words, "flag bitsets"); err != nil {
-		return lay, err
-	}
-	if lay.wback, err = take(8*words, "flag bitsets"); err != nil {
-		return lay, err
-	}
-	sum, err := take(4, "checksum")
-	if err != nil {
-		return lay, err
-	}
-	want := crc32.ChecksumIEEE(data[:pos-4])
-	if got := binary.LittleEndian.Uint32(sum); got != want {
-		return lay, fmt.Errorf("trace: .wtrc checksum mismatch (file %08x, computed %08x): corrupt trace", got, want)
-	}
-	lay.h = h
-	return lay, nil
-}
-
-// errShort is the truncation cause for a byte image that ended early —
-// the mapped analogue of the reader path's unexpected EOF.
-func errShort(n int) error {
-	return fmt.Errorf("file is %d bytes: unexpected EOF", n)
-}
-
-// decodeHeader decodes the fixed header region (headerBytes long).
-func decodeHeader(hb []byte) header {
-	return header{
-		N:           binary.LittleEndian.Uint64(hb[0:]),
-		Demand:      binary.LittleEndian.Uint64(hb[8:]),
-		Instrs:      binary.LittleEndian.Uint64(hb[16:]),
-		RawAccesses: binary.LittleEndian.Uint64(hb[24:]),
-		L1Hits:      binary.LittleEndian.Uint64(hb[32:]),
-		L2Hits:      binary.LittleEndian.Uint64(hb[40:]),
-		BaseCycles:  binary.LittleEndian.Uint64(hb[48:]),
-		LenDeltas:   binary.LittleEndian.Uint64(hb[56:]),
-		LenGaps:     binary.LittleEndian.Uint64(hb[64:]),
-	}
-}
-
-// readFileBytes returns path's full contents, preferring a read-only
-// mapping (unmap non-nil) and falling back to a plain read (unmap nil).
-func readFileBytes(path string) (data []byte, unmap func() error, err error) {
-	if !mmapDisabled.Load() {
-		if data, unmap, err := mapFile(path); err == nil {
-			return data, unmap, nil
-		}
-	}
-	data, err = os.ReadFile(path)
-	return data, nil, err
-}
-
-// sane bounds the sizes a reader will believe before allocating or
-// indexing anything (shared by the streaming and mapped paths).
-func (h header) sane() error {
-	if h.N > maxSaneAccesses || h.Demand > h.N ||
-		h.LenDeltas > maxSaneBytes || h.LenGaps > maxSaneBytes ||
-		h.LenDeltas > 10*h.N || h.LenGaps > 10*h.N || (h.N > 0 && h.LenDeltas == 0) {
-		return fmt.Errorf("trace: corrupt .wtrc header (n=%d demand=%d deltas=%d gaps=%d)",
-			h.N, h.Demand, h.LenDeltas, h.LenGaps)
-	}
-	return nil
-}
-
-// decodeLayout materializes an eager LLCTrace from a validated layout:
-// one copy per varint column, bitsets decoded in place, then the full
-// varint walk (validate) the eager path has always guaranteed.
-func decodeLayout(lay wtrcLayout) (*LLCTrace, error) {
-	h := lay.h
-	nt := &LLCTrace{
-		Summary: Summary{
-			Instrs:      h.Instrs,
-			RawAccesses: h.RawAccesses,
-			L1Hits:      h.L1Hits,
-			L2Hits:      h.L2Hits,
-			BaseCycles:  h.BaseCycles,
-		},
-		n:      int(h.N),
-		demand: h.Demand,
-		deltas: append([]byte(nil), lay.deltas...),
-		gaps:   append([]byte(nil), lay.gaps...),
-		write:  decodeBitset(lay.write),
-		wback:  decodeBitset(lay.wback),
-	}
-	if err := nt.validate(); err != nil {
-		return nil, err
-	}
-	return nt, nil
-}
-
-// decodeBitset turns raw little-endian bitset bytes into words.
-func decodeBitset(raw []byte) []uint64 {
-	words := make([]uint64, len(raw)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(raw[8*i:])
-	}
-	return words
-}
-
-// MappedTrace is a .wtrc file served zero-copy: the header and CRC are
-// validated at open, and cursors decode the columns lazily straight out
-// of the mapping (or its heap-read fallback). It implements TraceReader,
-// so it drops in anywhere an eager *LLCTrace does — the harness's trace
-// cache and "trace"-sourced spec apps both open traces this way.
+// OpenMapped opens a .wtrc file for zero-copy reading: it maps the file
+// read-only and parses it (header plausibility and CRC — one sequential
+// pass, no decoding, no column copies). Corrupt or truncated files error
+// here with the same messages ReadFile and ReadFrom produce; a varint
+// that fails to decode surfaces later, through the replaying cursor's
+// Err. When the file cannot be mapped its bytes are read into memory
+// instead and served identically.
 //
 // Close releases the mapping; cursors created before or after Close
-// observe it and fail cleanly via Cursor errors (they never touch
-// unmapped memory after the closed flag is set). Close must not be
-// called while a cursor is mid-Next on another goroutine.
-type MappedTrace struct {
-	lay    wtrcLayout
-	data   []byte
-	unmap  func() error
-	mapped bool
-	closed atomic.Bool
-}
-
-// OpenMapped opens a .wtrc file for zero-copy reading. The whole file is
-// validated up front (header plausibility and CRC — one sequential pass,
-// no decoding, no column copies); corrupt or truncated files error here
-// with the same messages the streaming reader produces. When the file
-// cannot be mmapped the bytes are read into memory instead and served
-// identically.
-func OpenMapped(path string) (*MappedTrace, error) {
-	data, unmap, err := readFileBytes(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+// observe it and fail cleanly with ErrClosed (they never touch unmapped
+// memory after the closed flag is set). Close must not be called while
+// a cursor is mid-Next on another goroutine.
+func OpenMapped(path string) (*LLCTrace, error) {
+	var data []byte
+	var unmap func() error
+	err := errMmapUnavailable
+	if !mmapDisabled.Load() {
+		data, unmap, err = mapFile(path)
 	}
-	lay, err := parseWTRC(data)
+	if err != nil {
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+	}
+	t, err := parseWTRC(data)
 	if err != nil {
 		if unmap != nil {
 			_ = unmap()
 		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &MappedTrace{lay: lay, data: data, unmap: unmap, mapped: unmap != nil}, nil
+	t.unmap = unmap
+	return t, nil
 }
 
-// Close releases the mapping (a no-op on the heap fallback beyond
-// flagging the trace closed). Idempotent. Cursors used after Close
-// return no accesses and report ErrClosed via Err.
-func (m *MappedTrace) Close() error {
-	if m.closed.Swap(true) {
+// Close marks the trace closed and releases its mapping, if it has one.
+// Idempotent. Cursors used after Close return no accesses and report
+// ErrClosed via Err.
+func (t *LLCTrace) Close() error {
+	if t.closed.Swap(true) || t.unmap == nil {
 		return nil
 	}
-	if m.unmap != nil {
-		return m.unmap()
-	}
-	return nil
+	return t.unmap()
 }
 
 // Mapped reports whether the trace is backed by a real memory mapping
-// (false on the io fallback path).
-func (m *MappedTrace) Mapped() bool { return m.mapped }
-
-// NumAccesses implements Reader.
-func (m *MappedTrace) NumAccesses() int { return int(m.lay.h.N) }
-
-// Stats implements Reader.
-func (m *MappedTrace) Stats() Summary {
-	h := m.lay.h
-	return Summary{
-		Instrs:      h.Instrs,
-		RawAccesses: h.RawAccesses,
-		L1Hits:      h.L1Hits,
-		L2Hits:      h.L2Hits,
-		BaseCycles:  h.BaseCycles,
-	}
-}
-
-// DemandAccesses counts non-writeback accesses.
-func (m *MappedTrace) DemandAccesses() uint64 { return m.lay.h.Demand }
-
-// LLCAPKI returns demand LLC accesses per kilo-instruction.
-func (m *MappedTrace) LLCAPKI() float64 {
-	if m.lay.h.Instrs == 0 {
-		return 0
-	}
-	return float64(m.lay.h.Demand) / float64(m.lay.h.Instrs) * 1000
-}
-
-// EncodedBytes reports the resident size of the columnar payload (for a
-// real mapping, bytes shared with the page cache rather than heap).
-func (m *MappedTrace) EncodedBytes() int {
-	return len(m.lay.deltas) + len(m.lay.gaps) + len(m.lay.write) + len(m.lay.wback)
-}
-
-// NewCursor implements Reader. Cursors are independent: any number may
-// iterate one mapping concurrently (they only read).
-func (m *MappedTrace) NewCursor() Cursor { return &mappedCursor{m: m} }
-
-// mappedCursor decodes the mapped columns sequentially. Identical
-// decode logic to llcCursor, minus the eager column copies.
-type mappedCursor struct {
-	m    *MappedTrace
-	i    int
-	dpos int
-	gpos int
-	line addr.Line
-	err  error
-}
-
-// Next implements Cursor. After Close, or on a malformed varint (only
-// reachable if the file mutated after its CRC was verified), it returns
-// ok=false and records the cause for Err.
-func (c *mappedCursor) Next() (LLCAccess, bool) {
-	m := c.m
-	if c.err != nil || c.i >= int(m.lay.h.N) {
-		return LLCAccess{}, false
-	}
-	if m.closed.Load() {
-		c.err = ErrClosed
-		return LLCAccess{}, false
-	}
-	u, k := binary.Uvarint(m.lay.deltas[c.dpos:])
-	if k <= 0 {
-		c.err = fmt.Errorf("trace: corrupt .wtrc delta column at access %d", c.i)
-		return LLCAccess{}, false
-	}
-	c.dpos += k
-	c.line += addr.Line(unzigzag(u))
-	i := c.i
-	bit := byte(1) << (i & 7)
-	a := LLCAccess{
-		Line:      c.line,
-		Writeback: m.lay.wback[i>>3]&bit != 0,
-		Write:     m.lay.write[i>>3]&bit != 0,
-	}
-	if !a.Writeback {
-		g, k := binary.Uvarint(m.lay.gaps[c.gpos:])
-		if k <= 0 || g > 1<<32-1 {
-			c.err = fmt.Errorf("trace: corrupt .wtrc gap column at access %d", c.i)
-			return LLCAccess{}, false
-		}
-		c.gpos += k
-		a.Gap = uint32(g)
-	}
-	c.i++
-	return a, true
-}
-
-// Reset implements Cursor, rewinding to the start (it also clears a
-// sticky decode error, but not ErrClosed — a closed mapping stays
-// closed).
-func (c *mappedCursor) Reset() {
-	if c.err == ErrClosed {
-		*c = mappedCursor{m: c.m, err: ErrClosed}
-		return
-	}
-	*c = mappedCursor{m: c.m}
-}
-
-// Err reports why iteration stopped early: nil at a clean end of trace,
-// ErrClosed after Close, or a corruption error. The Cursor interface
-// itself has no error channel (the hot loop stays two return values);
-// callers that care assert to interface{ Err() error }.
-func (c *mappedCursor) Err() error { return c.err }
+// (false for heap traces, including OpenMapped's io fallback).
+func (t *LLCTrace) Mapped() bool { return t.unmap != nil }

@@ -15,6 +15,9 @@ package trace
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
+	"sync/atomic"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/cache"
@@ -91,9 +94,8 @@ type Summary struct {
 }
 
 // Reader is a replayable LLC access trace: the simulator's view of a
-// filtered app. The concrete implementations are *LLCTrace (columnar,
-// in-memory or decoded from a .wtrc file) and the wrapper returned by
-// Offset.
+// filtered app. The concrete implementations are *LLCTrace and the
+// wrapper returned by Offset.
 type Reader interface {
 	// NewCursor returns an independent cursor positioned at the start.
 	NewCursor() Cursor
@@ -109,59 +111,37 @@ type Reader interface {
 type Cursor interface {
 	Next() (LLCAccess, bool)
 	Reset()
+	// Err reports why iteration stopped early: nil at a clean end of
+	// trace, ErrClosed after the trace was closed, or a corruption
+	// error for a column that fails to decode.
+	Err() error
 }
 
 // TraceReader is the full trace surface the tooling and harness consume:
 // replayable like any Reader, plus the derived statistics CLI reports
-// print. Both the eager *LLCTrace and the zero-copy *MappedTrace satisfy
-// it, so callers holding a TraceReader never care which decode path
-// produced their trace.
+// print and the .wtrc encoder. *LLCTrace is its one implementation.
 type TraceReader interface {
 	Reader
+	io.WriterTo
 	// DemandAccesses counts non-writeback accesses.
 	DemandAccesses() uint64
 	// LLCAPKI returns demand LLC accesses per kilo-instruction.
 	LLCAPKI() float64
 	// EncodedBytes reports the resident size of the columnar payload.
 	EncodedBytes() int
-}
-
-// Materialize returns an eager, heap-resident LLCTrace equivalent to r:
-// r itself when it already is one, otherwise a replay of r's stream into
-// a fresh encoder (how a mapped or offset trace becomes writable again —
-// WriteFile uses it).
-func Materialize(r Reader) *LLCTrace {
-	t, _ := materializeErr(r)
-	return t
-}
-
-// materializeErr is Materialize plus the cursor's error channel: a
-// replay cut short (mapping closed mid-copy) surfaces instead of
-// silently producing a truncated trace.
-func materializeErr(r Reader) (*LLCTrace, error) {
-	if t, ok := r.(*LLCTrace); ok {
-		return t, nil
-	}
-	t := &LLCTrace{Summary: r.Stats()}
-	cur := r.NewCursor()
-	for {
-		a, ok := cur.Next()
-		if !ok {
-			break
-		}
-		t.Append(a)
-	}
-	if ec, ok := cur.(interface{ Err() error }); ok && ec.Err() != nil {
-		return t, ec.Err()
-	}
-	return t, nil
+	// Mapped reports whether the columns live in a memory mapping.
+	Mapped() bool
 }
 
 // LLCTrace is a core's filtered access stream plus the cycle/energy
 // contributions of the private levels. The access stream is stored
-// column-wise — line deltas and instruction gaps as varints, the
-// write/writeback flags as bitsets — which is both ~4x smaller than a
-// []LLCAccess and exactly the .wtrc wire format.
+// column-wise in exactly the .wtrc wire layout — line deltas and
+// instruction gaps as varints, the write/writeback flags as little-endian
+// bitsets padded to 8-byte words — which is ~4x smaller than a
+// []LLCAccess. The columns either grow on the heap (FilterPrivate's
+// encoder, Append) or are subslices of a parsed .wtrc image: a heap copy
+// (ReadFile, ReadFrom) or a read-only mapping (OpenMapped), which Close
+// releases.
 type LLCTrace struct {
 	Summary
 
@@ -171,10 +151,13 @@ type LLCTrace struct {
 	// Encoder state: the previous appended line (deltas chain off it).
 	lastLine addr.Line
 
-	deltas []byte   // per access: uvarint(zigzag(line - prev line))
-	gaps   []byte   // per demand access: uvarint(gap)
-	write  []uint64 // bitset over access index: demand store
-	wback  []uint64 // bitset over access index: L2 dirty eviction
+	deltas []byte // per access: uvarint(zigzag(line - prev line))
+	gaps   []byte // per demand access: uvarint(gap)
+	write  []byte // bitset over access index: demand store
+	wback  []byte // bitset over access index: L2 dirty eviction
+
+	unmap  func() error // releases a memory mapping; nil on the heap
+	closed atomic.Bool
 }
 
 // zigzag maps signed deltas to unsigned varint-friendly values.
@@ -183,26 +166,28 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Append adds one access to the trace. Traces are append-only: the
-// private filter and the .wtrc decoder are the only writers.
+// Append adds one access to the trace: the encoder's method, for traces
+// FilterPrivate builds (and heap traces ReadFile/ReadFrom decoded). A
+// trace from OpenMapped is read-only.
 func (t *LLCTrace) Append(a LLCAccess) {
 	i := uint(t.n)
 	if i%64 == 0 {
-		t.write = append(t.write, 0)
-		t.wback = append(t.wback, 0)
+		t.write = append(t.write, make([]byte, 8)...)
+		t.wback = append(t.wback, make([]byte, 8)...)
 	}
 	// Line deltas use wrapping uint64 subtraction, so any jump — including
 	// the 2^44-sized per-core mix offsets — round-trips exactly.
 	t.deltas = binary.AppendUvarint(t.deltas, zigzag(int64(a.Line-t.lastLine)))
 	t.lastLine = a.Line
+	bit := byte(1) << (i % 8)
 	if a.Writeback {
-		t.wback[i/64] |= 1 << (i % 64)
+		t.wback[i/8] |= bit
 	} else {
 		t.gaps = binary.AppendUvarint(t.gaps, uint64(a.Gap))
 		t.demand++
 	}
 	if a.Write {
-		t.write[i/64] |= 1 << (i % 64)
+		t.write[i/8] |= bit
 	}
 	t.n++
 }
@@ -225,41 +210,59 @@ func (t *LLCTrace) Stats() Summary {
 
 // EncodedBytes reports the resident size of the columnar payload — the
 // number the bench trajectory tracks (a []LLCAccess costs 16 bytes per
-// access; this is typically 3-5).
+// access; this is typically 3-5). For a mapping these bytes are shared
+// with the page cache rather than the heap.
 func (t *LLCTrace) EncodedBytes() int {
-	return len(t.deltas) + len(t.gaps) + 8*(len(t.write)+len(t.wback))
+	return len(t.deltas) + len(t.gaps) + len(t.write) + len(t.wback)
 }
 
-// NewCursor implements Reader.
-func (t *LLCTrace) NewCursor() Cursor { return &llcCursor{t: t} }
+// NewCursor implements Reader. Cursors are independent: any number may
+// iterate one trace concurrently (they only read).
+func (t *LLCTrace) NewCursor() Cursor { return &cursor{t: t} }
 
-// llcCursor decodes the columnar stream sequentially.
-type llcCursor struct {
+// cursor decodes the columns sequentially. Every check is lazy: after
+// Close, or on a malformed varint (reachable only for a mapped file
+// that mutated after its CRC was verified), Next returns ok=false and
+// records the cause for Err. It never reads a released mapping.
+type cursor struct {
 	t    *LLCTrace
 	i    int
 	dpos int
 	gpos int
 	line addr.Line
+	err  error
 }
 
 // Next implements Cursor.
-func (c *llcCursor) Next() (LLCAccess, bool) {
+func (c *cursor) Next() (LLCAccess, bool) {
 	t := c.t
-	if c.i >= t.n {
+	if c.err != nil || c.i >= t.n {
+		return LLCAccess{}, false
+	}
+	if t.closed.Load() {
+		c.err = ErrClosed
 		return LLCAccess{}, false
 	}
 	u, k := binary.Uvarint(t.deltas[c.dpos:])
+	if k <= 0 {
+		c.err = fmt.Errorf("trace: corrupt .wtrc delta column at access %d", c.i)
+		return LLCAccess{}, false
+	}
 	c.dpos += k
 	c.line += addr.Line(unzigzag(u))
-	i := uint(c.i)
-	bit := uint64(1) << (i % 64)
+	i := c.i
+	bit := byte(1) << (i & 7)
 	a := LLCAccess{
 		Line:      c.line,
-		Writeback: t.wback[i/64]&bit != 0,
-		Write:     t.write[i/64]&bit != 0,
+		Writeback: t.wback[i>>3]&bit != 0,
+		Write:     t.write[i>>3]&bit != 0,
 	}
 	if !a.Writeback {
 		g, k := binary.Uvarint(t.gaps[c.gpos:])
+		if k <= 0 || g > 1<<32-1 {
+			c.err = fmt.Errorf("trace: corrupt .wtrc gap column at access %d", c.i)
+			return LLCAccess{}, false
+		}
 		c.gpos += k
 		a.Gap = uint32(g)
 	}
@@ -267,8 +270,18 @@ func (c *llcCursor) Next() (LLCAccess, bool) {
 	return a, true
 }
 
-// Reset implements Cursor.
-func (c *llcCursor) Reset() { *c = llcCursor{t: c.t} }
+// Reset implements Cursor, rewinding to the start (it also clears a
+// sticky decode error, but not ErrClosed — a closed trace stays closed).
+func (c *cursor) Reset() {
+	if c.err == ErrClosed {
+		*c = cursor{t: c.t, err: ErrClosed}
+		return
+	}
+	*c = cursor{t: c.t}
+}
+
+// Err implements Cursor.
+func (c *cursor) Err() error { return c.err }
 
 // Offset wraps a reader so every access line is shifted by off: how
 // multi-programmed mixes give each core a disjoint address space without
@@ -302,14 +315,7 @@ func (c *offsetCursor) Next() (LLCAccess, bool) {
 
 func (c *offsetCursor) Reset() { c.c.Reset() }
 
-// Err forwards the wrapped cursor's error channel (nil when it has none),
-// so an offset mapped trace still reports a replay that stopped early.
-func (c *offsetCursor) Err() error {
-	if ec, ok := c.c.(interface{ Err() error }); ok {
-		return ec.Err()
-	}
-	return nil
-}
+func (c *offsetCursor) Err() error { return c.c.Err() }
 
 // BaseCPI is the core's cycles-per-instruction when never stalled on the
 // LLC (a Nehalem-like OOO sustains ~2 IPC on compute; docs/design.md

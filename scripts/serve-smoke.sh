@@ -28,7 +28,7 @@ fail() {
 $GO build -o "$dir/whirld" ./cmd/whirld
 $GO build -o "$dir/whirlsweep" ./cmd/whirlsweep
 
-"$dir/whirld" -addr 127.0.0.1:0 -store "$dir/store" -workers 2 \
+"$dir/whirld" -addr 127.0.0.1:0 -store "$dir/store" -parallel 2 \
     > "$dir/whirld.out" 2> "$dir/whirld.err" &
 pid=$!
 trap 'kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null' EXIT
